@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -74,25 +73,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PERFECTSUM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="perfectsum", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="cap on worker parallelism (results do not depend on it); "
-        "default from PERFECTSUM_THREADS or machine parallelism",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="exact subset counting (enumeration or DP)")

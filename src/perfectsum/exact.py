@@ -5,7 +5,9 @@ Two independent oracles are provided: full enumeration of all subsets
 partial sum) for integer-valued sets. Both count subsets of every size
 k = 1..n whose sum compares to a target, with exact arbitrary-precision
 results. Enumeration cost is 2^n, so it is capped (default n <= 26);
-the DP extends much further whenever the sum range is small.
+the DP extends much further whenever the sum range is small. One
+(k, sum) table builder serves the DP counts and the integer path of
+``exact_sum_pmf``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .moments import as_finite_array
 
 __all__ = [
     "RELATIONS",
@@ -94,15 +98,6 @@ def _check_relation(relation: str) -> None:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
 
 
-def _as_finite_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("empty set")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite element in input set")
-    return arr
-
-
 def _doubling_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums and sizes of all 2^m subsets of ``values``, built incrementally."""
     m = len(values)
@@ -142,7 +137,7 @@ def enumerate_counts(
     _check_relation(relation)
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    arr = _as_finite_array(values)
+    arr = as_finite_array(values)
     n = arr.size
     if n > cap:
         raise InfeasibleError(
@@ -201,7 +196,7 @@ def _sums_of_size(arr: np.ndarray, k: int):
 
 
 def _as_int_array(values) -> np.ndarray:
-    arr = _as_finite_array(values)
+    arr = as_finite_array(values)
     rounded = np.rint(arr)
     if not np.array_equal(arr, rounded):
         raise ValueError(
@@ -246,11 +241,13 @@ def dp_counts(
 ) -> CountBySize:
     """Exact subset counts per size k via dynamic programming on (k, partial sum).
 
-    Requires an integer-valued set. Nonnegative sets use a bounded table
-    of width O(target): for ``ge`` sums at or above the target collapse
-    into one saturation bucket, and for ``eq``/``le`` sums beyond the
-    target are discarded (a nonnegative set can never bring them back).
-    Signed sets fall back to the full sum range with an offset axis.
+    Requires an integer-valued set. Every relation is read off one table
+    of counts per (k, sum) up to a bound b: ``eq`` reads column b = target,
+    ``le`` sums the prefix up to b = floor(target), and ``ge`` is the
+    complement C(n, k) minus the ``le`` count at b = ceil(target) - 1.
+    Nonnegative sets keep only sums 0..b, a table of width O(target),
+    because a nonnegative set can never bring a larger partial sum back
+    down. Signed sets keep the full sum range with an offset axis.
 
     Raises
     ------
@@ -281,9 +278,21 @@ def dp_counts(
         if target >= hi:
             return everything
 
-    if lo == 0:
-        return _dp_counts_nonneg(ints, target, relation, max_cells)
-    return _dp_counts_full_range(ints, target, relation, lo, hi, max_cells)
+    if relation == "eq":
+        bound = int(target)
+    elif relation == "le":
+        bound = math.floor(target)
+    else:
+        bound = math.ceil(target) - 1
+    dp = _sum_table(ints, lo, min(hi, bound) if lo == 0 else hi, max_cells)
+
+    if relation == "eq":
+        per_k = {k: int(dp[k, bound - lo]) for k in range(1, n + 1)}
+    else:
+        per_k = {k: int(dp[k, : bound - lo + 1].sum()) for k in range(1, n + 1)}
+        if relation == "ge":
+            per_k = {k: math.comb(n, k) - c for k, c in per_k.items()}
+    return CountBySize.from_counts(per_k)
 
 
 def _check_cells(rows: int, width: int, max_cells: int) -> None:
@@ -295,60 +304,21 @@ def _check_cells(rows: int, width: int, max_cells: int) -> None:
         )
 
 
-def _dp_counts_nonneg(
-    ints: np.ndarray, target: float, relation: str, max_cells: int
-) -> CountBySize:
+def _sum_table(ints: np.ndarray, lo: int, top: int, max_cells: int) -> np.ndarray:
+    """Table with ``dp[k, s - lo]`` = number of k-subsets of ``ints`` with sum s.
+
+    Sums run from ``lo`` (the sum of the negative elements) to ``top``;
+    larger sums are dropped. Dropping is exact only when ``top`` is the
+    largest sum or no element is negative.
+    """
     n = ints.size
-    if relation == "ge":
-        bound = math.ceil(target)  # count sums >= bound
-        width = bound  # exact region 0..bound-1, bucket holds >= bound
-    else:
-        bound = math.floor(target)
-        width = bound + 1  # exact region 0..bound
-
-    _check_cells(n + 1, width + 1, max_cells)
-    dp = _table((n + 1, width), n)
-    dp[0, 0] = 1
-    bucket = _table((n + 1, 1), n)[:, 0] if relation == "ge" else None
-
-    for x in ints.tolist():
-        if relation == "ge":
-            # subsets that cross the bound when x joins, plus already-bucketed ones
-            for k in range(n, 0, -1):
-                spill = dp[k - 1, max(0, width - x) :].sum() if x > 0 else 0
-                bucket[k] += bucket[k - 1] + spill
-        _shift_add_rows(dp, int(x), n)
-
-    if relation == "eq":
-        per_k = {k: int(dp[k, width - 1]) for k in range(1, n + 1)}
-    elif relation == "le":
-        per_k = {k: int(dp[k, :].sum()) for k in range(1, n + 1)}
-    else:
-        per_k = {k: int(bucket[k]) for k in range(1, n + 1)}
-    return CountBySize.from_counts(per_k)
-
-
-def _dp_counts_full_range(
-    ints: np.ndarray, target: float, relation: str, lo: int, hi: int, max_cells: int
-) -> CountBySize:
-    n = ints.size
-    width = hi - lo + 1
+    width = top - lo + 1
     _check_cells(n + 1, width, max_cells)
     dp = _table((n + 1, width), n)
-    dp[0, -lo] = 1  # sum axis offset: index s - lo
+    dp[0, -lo] = 1
     for x in ints.tolist():
         _shift_add_rows(dp, int(x), n)
-
-    if relation == "eq":
-        col = int(target) - lo
-        per_k = {k: int(dp[k, col]) for k in range(1, n + 1)}
-    elif relation == "ge":
-        start = max(math.ceil(target) - lo, 0)
-        per_k = {k: int(dp[k, start:].sum()) for k in range(1, n + 1)}
-    else:
-        stop = min(math.floor(target) - lo + 1, width)
-        per_k = {k: int(dp[k, :stop].sum()) for k in range(1, n + 1)}
-    return CountBySize.from_counts(per_k)
+    return dp
 
 
 def exact_sum_pmf(
@@ -366,7 +336,7 @@ def exact_sum_pmf(
     ``merge_tolerance`` of the group's first representative, so float
     associativity noise cannot split a support point.
     """
-    arr = _as_finite_array(values)
+    arr = as_finite_array(values)
     n = arr.size
     if not 1 <= k <= n:
         raise ValueError(f"subset size k={k} out of range 1..{n}")
@@ -378,12 +348,7 @@ def exact_sum_pmf(
         ints = rounded.astype(np.int64)
         lo = int(ints[ints < 0].sum())
         hi = int(ints[ints > 0].sum())
-        _check_cells(n + 1, hi - lo + 1, _DEFAULT_MAX_TABLE_CELLS)
-        dp = _table((n + 1, hi - lo + 1), n)
-        dp[0, -lo] = 1
-        for x in ints.tolist():
-            _shift_add_rows(dp, int(x), n)
-        row = dp[k]
+        row = _sum_table(ints, lo, hi, _DEFAULT_MAX_TABLE_CELLS)[k]
         idx = np.flatnonzero(row)
         support = (idx + lo).astype(np.float64)
         mass = np.array([int(row[i]) / total_subsets for i in idx], dtype=np.float64)

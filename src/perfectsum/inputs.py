@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["InputDocument", "InputError", "read_input", "parse_values"]
+__all__ = ["InputDocument", "InputError", "read_input"]
 
 
 class InputError(ValueError):
@@ -50,12 +50,6 @@ def read_input(path) -> InputDocument:
     if p.suffix.lower() == ".csv" or "," in text.splitlines()[0]:
         return _parse_csv(text, path)
     return _parse_text(text, path)
-
-
-def parse_values(doc: InputDocument) -> np.ndarray:
-    if doc.values.size == 0:
-        raise InputError("empty set")
-    return doc.values
 
 
 def _finite(values, where: str) -> np.ndarray:

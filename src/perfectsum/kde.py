@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .moments import as_finite_array
+
 __all__ = [
     "KdeModel",
     "sample_subset_sums",
@@ -44,12 +46,8 @@ def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
     otherwise the subset is the k smallest of n i.i.d. uniform keys,
     processed in fixed-size row blocks.
     """
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    arr = as_finite_array(values)
     n = arr.size
-    if n == 0:
-        raise ValueError("empty set")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite element in input set")
     if not 1 <= k <= n:
         raise ValueError(f"subset size k={k} out of range 1..{n}")
     if m < 2:

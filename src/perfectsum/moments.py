@@ -44,6 +44,16 @@ class SetStatistics:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
 
 
+def as_finite_array(values) -> np.ndarray:
+    """``values`` as a flat float64 array; raises ValueError if empty or non-finite."""
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if arr.size == 0:
+        raise ValueError("empty set")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite element in input set")
+    return arr
+
+
 def set_statistics(values) -> SetStatistics:
     """Compute n, population mean and population variance of a value set.
 
@@ -57,13 +67,7 @@ def set_statistics(values) -> SetStatistics:
     ValueError
         On an empty set or any non-finite element.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size == 0:
-        raise ValueError("empty set")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite element in input set")
+    arr = as_finite_array(values)
     return SetStatistics(n=int(arr.size), mean=float(arr.mean()), variance=float(arr.var()))
 
 

@@ -30,7 +30,7 @@ from .approx import (
 )
 from .exact import InfeasibleError, binomial
 from .kde import DEFAULT_KDE_SAMPLES, KdeModel, fit_bandwidth, sample_subset_sums
-from .moments import SetStatistics, set_statistics
+from .moments import SetStatistics, as_finite_array, set_statistics
 
 __all__ = [
     "ApproxConfig",
@@ -180,15 +180,6 @@ def _round_half_even(p: float, c: int) -> int:
     return q
 
 
-def _as_values(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("empty set")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite element in input set")
-    return arr
-
-
 def _normal_probabilities(
     stats: SetStatistics, ks: np.ndarray, target: float, relation: str, g: float
 ) -> np.ndarray:
@@ -280,7 +271,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     per-k counts. k = n is always handled by the degenerate point mass
     (there is only one subset of full size).
     """
-    arr = _as_values(values)
+    arr = as_finite_array(values)
     stats = set_statistics(arr)
     n = stats.n
     k_min = 1 if config.k_min is None else config.k_min
@@ -398,7 +389,7 @@ def exact_perfect_sum(
     """
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"engine must be auto, enumerate or dp, got {engine!r}")
-    arr = _as_values(values)
+    arr = as_finite_array(values)
     n = arr.size
 
     integral = bool(np.array_equal(arr, np.rint(arr)))

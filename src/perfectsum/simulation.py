@@ -247,21 +247,6 @@ def _raw_reference(
     return sums, np.full(sums.size, 1.0 / sums.size), "sampled"
 
 
-def reference_pmf(
-    values,
-    k: int,
-    granularity: float,
-    *,
-    seed: int = 0,
-    ref_samples: int = DEFAULT_REFERENCE_SAMPLES,
-    max_exact_subsets: int = MAX_EXACT_REFERENCE_SUBSETS,
-) -> tuple[DiscretePmf, str]:
-    """Reference size-k sum distribution binned onto the granularity grid."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    points, weights, kind = _raw_reference(arr, k, seed, ref_samples, max_exact_subsets)
-    return _bin_pmf(points, weights, granularity), kind
-
-
 def _method_spec(method) -> dict:
     if isinstance(method, str):
         return {"method": method}

@@ -18,6 +18,30 @@ from perfectsum import (
 
 from conftest import brute_counts, brute_subset_sums, pascal_triangle
 
+# (copies of -1, zeros, ones) for n = 70 sets, past the int64 table limit
+TERNARY_MIXES = [(0, 30, 40), (25, 20, 25)]
+
+
+def ternary_set(mix, rng):
+    a, b, c = mix
+    values = np.array([-1] * a + [0] * b + [1] * c)
+    rng.shuffle(values)
+    return values.tolist()
+
+
+def ternary_sum_counts(mix, k):
+    """Closed-form number of k-subsets per sum for a set of -1s, 0s and 1s."""
+    a, b, c = mix
+    by_sum = {}
+    for i in range(min(a, k) + 1):
+        for j in range(min(c, k - i) + 1):
+            z = k - i - j
+            if z <= b:
+                by_sum[j - i] = by_sum.get(j - i, 0) + (
+                    math.comb(a, i) * math.comb(b, z) * math.comb(c, j)
+                )
+    return by_sum
+
 
 class TestBinomial:
     def test_known_value(self):
@@ -156,6 +180,25 @@ class TestDpCounts:
         assert res.total == math.comb(40, 20)
         assert res.counts[19] == 0
 
+    @pytest.mark.parametrize("mix", TERNARY_MIXES)
+    def test_object_table_matches_closed_form(self, mix, rng):
+        values = ternary_set(mix, rng)
+        n = len(values)
+        holds = {
+            "eq": lambda s, t: s == t,
+            "ge": lambda s, t: s >= t,
+            "le": lambda s, t: s <= t,
+        }
+        for target in (-3, 0, 7, 12.5):
+            for relation, test in holds.items():
+                expected = {
+                    k: sum(c for s, c in ternary_sum_counts(mix, k).items() if test(s, target))
+                    for k in range(1, n + 1)
+                }
+                assert dp_counts(values, target, relation).counts == expected, (
+                    mix, target, relation,
+                )
+
 
 class TestExactSumPmf:
     def test_pairs_example(self):
@@ -172,6 +215,15 @@ class TestExactSumPmf:
         pmf = exact_sum_pmf([1, 2, 3, 4], 4)
         assert pmf.support.tolist() == [10]
         assert pmf.mass.tolist() == [1.0]
+
+    @pytest.mark.parametrize("mix", TERNARY_MIXES)
+    def test_object_table_masses_match_closed_form(self, mix, rng):
+        values = ternary_set(mix, rng)
+        by_sum = ternary_sum_counts(mix, 35)
+        total = math.comb(70, 35)
+        pmf = exact_sum_pmf(values, 35)
+        assert pmf.support.tolist() == sorted(by_sum)
+        assert pmf.mass.tolist() == [by_sum[s] / total for s in sorted(by_sum)]
 
     def test_masses_are_counts_over_binomial(self, rng):
         values = rng.uniform(0, 10, 12).tolist()
