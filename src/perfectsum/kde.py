@@ -7,8 +7,12 @@ sum. The bandwidth rule is the 10% quantile of the consecutive gaps of
 the sorted sample. Density and CDF are exact for the tophat mixture, so
 the model integrates to 1 with no quadrature.
 
-Randomness comes from numpy's seeded PCG64 generator; a fixed seed
-reproduces the model bit for bit.
+Subsets come from index-tuple rejection when 2k^2 <= n, and otherwise
+from Floyd's algorithm (Bentley & Floyd, "A sample of brilliance",
+CACM 30(9), 1987), run on a block of rows at once: it draws
+min(k, n - k) exact integers per subset, and when k > n/2 the drawn
+indices are the ones left out. Randomness comes from numpy's seeded
+PCG64 generator; a fixed seed reproduces the model bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ DEFAULT_KDE_SAMPLES = 10_000
 
 # Row block size for the vectorized sampler, in matrix cells.
 _SAMPLE_BLOCK_CELLS = 20_000_000
+# Rows per pass of Floyd's loop. Every column of draws reads and writes
+# each row's taken mask: at small n a pass this size keeps the mask in
+# cache, and it is large enough to amortize numpy's per-call overhead.
+_FLOYD_CHUNK_ROWS = 4096
 
 
 def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
@@ -40,11 +48,16 @@ def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
 
     Each draw picks a k-subset uniformly; distinct draws are independent,
     so the same subset can recur. Two regimes, both exact and both
-    deterministic for a fixed seed: when k is small relative to n,
-    ordered index tuples are drawn and rows with a repeated index are
-    redrawn (every ordered tuple of distinct indices is equally likely);
-    otherwise the subset is the k smallest of n i.i.d. uniform keys,
-    processed in fixed-size row blocks.
+    deterministic for a fixed seed: when 2k^2 <= n, ordered index tuples
+    are drawn and rows with a repeated index are redrawn (every ordered
+    tuple of distinct indices is equally likely); otherwise Floyd's
+    algorithm picks r = min(k, n - k) distinct indices per row. For
+    column c, with j = n - r + c, it draws t uniformly from [0, j] and
+    takes t, or j if the row already holds t; every r-subset is equally
+    likely. When r < k the r indices are the ones left out. Rows are
+    processed in fixed-size blocks, one integer draw per block in row
+    order, so the output does not depend on the block size. Each sum
+    adds only the chosen elements.
     """
     arr = as_finite_array(values)
     n = arr.size
@@ -69,16 +82,40 @@ def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
             idx[bad] = rng.integers(0, n, (bad.size, k))
         return arr[idx].sum(axis=1)
 
+    r = min(k, n - k)
+    highs = np.arange(n - r + 1, n + 1)
     out = np.empty(m, dtype=np.float64)
     block = max(1, _SAMPLE_BLOCK_CELLS // n)
     done = 0
     while done < m:
         rows = min(block, m - done)
-        keys = rng.random((rows, n))
-        idx = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        out[done : done + rows] = arr[idx].sum(axis=1)
+        draws = rng.integers(0, highs, (rows, r))
+        dst = out[done : done + rows]
+        for lo in range(0, rows, _FLOYD_CHUNK_ROWS):
+            part = slice(lo, lo + _FLOYD_CHUNK_ROWS)
+            dst[part] = _floyd_sums(arr, k, draws[part])
         done += rows
     return out
+
+
+def _floyd_sums(arr: np.ndarray, k: int, draws: np.ndarray) -> np.ndarray:
+    """Sum of the k-subset that Floyd's algorithm builds from each row of draws."""
+    rows, r = draws.shape
+    n = arr.size
+    taken = np.zeros(rows * n, dtype=bool)
+    base = np.arange(rows) * n
+    acc = np.zeros(rows)
+    for c in range(r):
+        t = draws[:, c]
+        pick = np.where(taken[base + t], n - r + c, t)
+        taken[base + pick] = True
+        if r == k:
+            acc += arr[pick]
+    if r < k:
+        # sum what is kept; total minus the left-out sum would cancel
+        kept = ~taken.reshape(rows, n)
+        acc = np.broadcast_to(arr, (rows, n))[kept].reshape(rows, k).sum(axis=1)
+    return acc
 
 
 def fit_bandwidth(sums) -> float:

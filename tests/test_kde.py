@@ -48,10 +48,18 @@ class TestSampleSubsetSums:
     def test_blocking_invariance(self, monkeypatch):
         import perfectsum.kde as kde_mod
 
-        full = sample_subset_sums(list(range(20)), 4, 500, seed=3)
-        monkeypatch.setattr(kde_mod, "_SAMPLE_BLOCK_CELLS", 160)
-        blocked = kde_mod.sample_subset_sums(list(range(20)), 4, 500, seed=3)
-        assert np.array_equal(full, blocked)
+        cases = [
+            (4, "_SAMPLE_BLOCK_CELLS", 160),  # 8-row blocks, r = k
+            (15, "_SAMPLE_BLOCK_CELLS", 160),  # k > n/2: the r = 5 drawn indices are left out
+            (5, "_SAMPLE_BLOCK_CELLS", 140),  # 7-row blocks: 500 % 7 != 0, 7 * r = 35 is odd
+            (5, "_FLOYD_CHUNK_ROWS", 7),  # 7-row passes of Floyd's loop inside one block
+        ]
+        for k, constant, value in cases:
+            full = sample_subset_sums(list(range(20)), k, 500, seed=3)
+            with monkeypatch.context() as patched:
+                patched.setattr(kde_mod, constant, value)
+                blocked = kde_mod.sample_subset_sums(list(range(20)), k, 500, seed=3)
+            assert np.array_equal(full, blocked), (k, constant)
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -80,6 +88,38 @@ class TestSampleSubsetSums:
         # df=44: mean 44, sd ~9.4; 100 is ~6 sd out
         assert chi2_stat < 100.0
 
+    @pytest.mark.parametrize(
+        "k, subsets, bound",
+        [
+            (3, 56, 120.0),  # Floyd draws the k kept indices; df=55, sd ~10.5
+            (6, 28, 70.0),  # Floyd draws the 2 left-out indices; df=27, sd ~7.3
+        ],
+    )
+    def test_floyd_regime_uniform_over_subsets(self, k, subsets, bound):
+        # n=8 with 2k^2 > n uses Floyd's sampler; powers of 2 make each
+        # subset's sum unique, so frequencies identify subsets
+        import collections
+
+        values = (2.0 ** np.arange(8)).tolist()
+        m = 2_000 * subsets
+        sums = sample_subset_sums(values, k, m, seed=3)
+        freq = collections.Counter(sums.tolist())
+        assert len(freq) == subsets
+        assert all(bin(int(s)).count("1") == k for s in freq)
+        counts = np.array(list(freq.values()))
+        expected = m / subsets
+        chi2_stat = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2_stat < bound
+
+    def test_left_out_branch_sums_kept_elements(self):
+        # k > n/2: a sum formed as total minus the left-out sum loses the
+        # small elements to 1e16's rounding; every sum below 1e15 must be
+        # an exact sum of four of 1..5
+        sums = sample_subset_sums([1e16, 1, 2, 3, 4, 5], 4, 2_000, seed=9)
+        small = sums[sums < 1e15]
+        assert small.size > 0
+        assert set(small.tolist()) <= {10.0, 11.0, 12.0, 13.0, 14.0}
+
 
 class TestFitBandwidth:
     def test_unit_gaps(self):
@@ -96,7 +136,7 @@ class TestFitBandwidth:
     def test_regression_pin_seeded_run(self):
         values = generate_set(SetSpec(family="uniform", n=20, seed=42, low=0, high=20))
         sums = sample_subset_sums(values, 5, 1000, seed=123)
-        assert fit_bandwidth(sums) == pytest.approx(0.0038253525978575453, rel=1e-12)
+        assert fit_bandwidth(sums) == pytest.approx(0.0034725528432844044, rel=1e-12)
 
     def test_too_few_sums(self):
         with pytest.raises(ValueError):
