@@ -47,7 +47,9 @@ def read_input(path) -> InputDocument:
     stripped = text.lstrip()
     if p.suffix.lower() == ".json" or stripped[:1] in "[{":
         return _parse_json(text, path)
-    if p.suffix.lower() == ".csv" or "," in text.splitlines()[0]:
+    # the first line as splitlines() would cut it, without splitting the rest
+    first_line = (text.partition("\n")[0].splitlines() or [""])[0]
+    if p.suffix.lower() == ".csv" or "," in first_line:
         return _parse_csv(text, path)
     return _parse_text(text, path)
 

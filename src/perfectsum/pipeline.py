@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -91,8 +91,9 @@ class ApproxReport:
 
     Stored columnar (``ks`` aligned with ``probabilities``, ``counts``,
     ``methods``) so million-row reports stay cheap; ``rows()`` yields
-    the per-k records. ``meta`` echoes the full invocation for
-    reproducibility.
+    the per-k records. ``to_json_dict`` finds the rows it keeps with numpy
+    masks, so its Python work grows with the nonzero strata, not with n.
+    ``meta`` echoes the full invocation for reproducibility.
     """
 
     ks: np.ndarray
@@ -121,18 +122,17 @@ class ApproxReport:
         Any k inside [k_min, k_max] that is absent from ``per_k.k`` has
         probability 0 and count 0.
         """
-        keep = [
-            i
-            for i in range(self.ks.size)
-            if self.probabilities[i] > 0.0 or self.counts[i] != 0
-        ]
+        keep = self.probabilities > 0.0
+        # a count can be nonzero where the probability underflowed to 0.0
+        keep[list(compress(range(len(self.counts)), self.counts))] = True
+        kept = np.flatnonzero(keep).tolist()
         doc = dict(self.meta)
         doc["total"] = str(self.total)
         doc["per_k"] = {
-            "k": [int(self.ks[i]) for i in keep],
-            "probability": [float(self.probabilities[i]) for i in keep],
-            "count": [str(self.counts[i]) for i in keep],
-            "method_used": [self.methods[i] for i in keep],
+            "k": self.ks[keep].tolist(),
+            "probability": self.probabilities[keep].tolist(),
+            "count": [str(self.counts[i]) for i in kept],
+            "method_used": [self.methods[i] for i in kept],
         }
         if self.diagnostics is not None:
             doc["diagnostics"] = {
@@ -172,10 +172,11 @@ def _round_half_even(p: float, c: int) -> int:
         return 0
     if p >= 1.0:
         return c
-    f = Fraction(p) * c
-    q, r = divmod(f.numerator, f.denominator)
+    # p = m / d with d a power of two; no gcd normalisation of the product
+    m, d = p.as_integer_ratio()
+    q, r = divmod(m * c, d)
     twice = 2 * r
-    if twice > f.denominator or (twice == f.denominator and q % 2 == 1):
+    if twice > d or (twice == d and q % 2 == 1):
         return q + 1
     return q
 
@@ -300,35 +301,34 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
 
     # hybrid mode: replace small strata with exact enumeration
     exact_idx: dict[int, int] = {}
-    if config.exact_small_k >= k_min:
-        for i, k in enumerate(ks.tolist()):
-            if k > config.exact_small_k:
-                break
-            if binomial(n, k) > EXACT_STRATUM_BUDGET:
-                continue
-            try:
-                exact_idx[i] = _exact_stratum_count(arr, k, target, config.relation, g)
-            except (ValueError, InfeasibleError) as err:
-                raise PipelineError(f"stratum k={k} failed: {err}") from err
-            methods[i] = "exact"
+    for k in range(k_min, config.exact_small_k + 1):
+        i = k - k_min
+        if binomial(n, k) > EXACT_STRATUM_BUDGET:
+            continue
+        try:
+            exact_idx[i] = _exact_stratum_count(arr, k, target, config.relation, g)
+        except (ValueError, InfeasibleError) as err:
+            raise PipelineError(f"stratum k={k} failed: {err}") from err
+        methods[i] = "exact"
 
+    # Python work only for the strata that get a count: the binomial
+    # recurrence steps from one such k to the next
     counts: list = [0] * ks.size
-    total = 0
-    needs_c = [
-        i for i in range(ks.size) if probs[i] > 0.0 and i not in exact_idx
-    ]
-    if needs_c:
-        first, last = needs_c[0], needs_c[-1]
-        k0 = int(ks[first])
-        c = math.comb(n, k0)
-        for i in range(first, last + 1):
-            if probs[i] > 0.0 and i not in exact_idx:
-                counts[i] = _round_half_even(float(probs[i]), c)
-            c = c * (n - int(ks[i])) // (int(ks[i]) + 1)
+    needs_c = probs > 0.0
+    needs_c[list(exact_idx)] = False
+    idx = np.flatnonzero(needs_c).tolist()
+    at = k_min + idx[0] if idx else 0
+    c = math.comb(n, at)
+    for i, p in zip(idx, probs[idx].tolist()):
+        for j in range(at, k_min + i):
+            c = c * (n - j) // (j + 1)
+        at = k_min + i
+        counts[i] = _round_half_even(p, c)
+    total = sum(counts[i] for i in idx)
     for i, cnt in exact_idx.items():
         counts[i] = cnt
-        probs[i] = cnt / binomial(n, int(ks[i]))
-    total = sum(counts)
+        probs[i] = cnt / binomial(n, k_min + i)
+        total += cnt
 
     diagnostics = None
     if config.diagnostics:

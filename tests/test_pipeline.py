@@ -1,12 +1,15 @@
 """Pipeline tests: counting loop, rounding, hybrid mode, report shape."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from perfectsum import (
     ApproxConfig,
+    ApproxReport,
     PipelineError,
     approximate_perfect_sum,
     auto_granularity,
@@ -27,8 +30,6 @@ class TestRounding:
         assert _round_half_even(0.0, 99) == 0
 
     def test_full_precision_product(self):
-        from fractions import Fraction
-
         # the float is expanded exactly: 0.1 is 0.100000000000000005551...,
         # so times 10 it lands just above 1 and must round to 1, and times
         # 10**30 the rounding error stays within half a unit of the exact
@@ -37,6 +38,28 @@ class TestRounding:
         big = 10**30
         expected = Fraction(0.1) * big
         assert abs(_round_half_even(0.1, big) - expected) <= Fraction(1, 2)
+
+    def test_matches_fraction_formula(self, rng):
+        def reference(p, c):
+            f = Fraction(p) * c
+            q, r = divmod(f.numerator, f.denominator)
+            if 2 * r > f.denominator or (2 * r == f.denominator and q % 2 == 1):
+                return q + 1
+            return q
+
+        ps = [0.5, 0.25, 0.75, 0.125, 0.1, 5e-324, 1e-300, 1.0 - 2.0**-53]
+        ps += rng.random(100).tolist() + (rng.random(40) ** 40).tolist()
+        cs = [1, 2, 3, 4, 5, 6, 7, 12, 255]
+        cs += [math.comb(n, k) for n, k in ((60, 7), (1000, 500), (10000, 3000))]
+        ties = set()
+        for p in ps:
+            for c in cs:
+                got = _round_half_even(p, c)
+                assert got == reference(p, c), (p, c)
+                if (Fraction(p) * c).denominator == 2:
+                    ties.add(got > Fraction(p) * c)
+        # exact ties occur, rounding both up (0.5 * 7) and down (0.5 * 5)
+        assert ties == {False, True}
 
 
 class TestApproximatePerfectSum:
@@ -173,6 +196,49 @@ class TestApproximatePerfectSum:
             approximate_perfect_sum([], 1.0, ApproxConfig())
 
 
+class TestCountMaterialisation:
+    @pytest.mark.parametrize("kind", ["integer", "gaussian"])
+    def test_counts_match_per_stratum_formula(self, kind):
+        rng = np.random.default_rng(300)
+        n = 300
+        if kind == "integer":
+            values, g = rng.integers(0, 21, n).astype(float), None
+        else:
+            values, g = rng.normal(5.0, 2.0, n), 0.5
+        pair_sums = (values[:, None] + values[None, :])[np.triu_indices(n, 1)]
+        exact_strata = {1: values, 2: pair_sums}
+        for relation in ("eq", "ge", "le"):
+            for frac in (0.5, 0.9 if relation == "ge" else 0.1):
+                target = frac * float(values.sum())
+                for k_min, k_max, exact_small_k in ((None, None, 2), (2, 250, 2), (40, 260, 0)):
+                    report = approximate_perfect_sum(
+                        values, target,
+                        ApproxConfig(relation=relation, granularity=g, k_min=k_min,
+                                     k_max=k_max, exact_small_k=exact_small_k),
+                    )
+                    gran = report.meta["granularity"]
+                    rows = zip(report.ks.tolist(), report.probabilities.tolist(),
+                               report.counts, report.methods)
+                    for k, p, count, method in rows:
+                        if method == "exact":
+                            sums = exact_strata[k]
+                            if relation == "eq":
+                                hit = (sums > target - gran / 2) & (sums <= target + gran / 2)
+                            elif relation == "ge":
+                                hit = sums >= target
+                            else:
+                                hit = sums <= target
+                            assert count == int(hit.sum()), (relation, frac, k)
+                        elif p > 0.0:
+                            assert count == _round_half_even(p, math.comb(n, k)), (relation, k)
+                        else:
+                            assert count == 0, (relation, frac, k)
+                    assert report.total == sum(report.counts)
+                    exact_ks = [k for k, m in zip(report.ks.tolist(), report.methods)
+                                if m == "exact"]
+                    assert exact_ks == ([] if exact_small_k == 0 else list(range(report.ks[0], 3)))
+
+
 class TestAutoGranularity:
     def test_integer_sets_use_gcd(self):
         assert auto_granularity([2, 4, 10]) == 2.0
@@ -226,6 +292,37 @@ class TestReportSerialization:
         doc = report.to_json_dict()
         assert doc["per_k"]["k"] == [2]
         assert doc["per_k"]["count"] == ["2"]
+
+    @staticmethod
+    def _kept_columns(report):
+        kept = [r for r in report.rows() if r["probability"] > 0 or r["count"] != 0]
+        return {
+            "k": [r["k"] for r in kept],
+            "probability": [r["probability"] for r in kept],
+            "count": [str(r["count"]) for r in kept],
+            "method_used": [r["method_used"] for r in kept],
+        }
+
+    def test_per_k_matches_filtered_rows(self):
+        report = approximate_perfect_sum(
+            list(range(1, 41)), 700.0, ApproxConfig(relation="ge", exact_small_k=2)
+        )
+        assert 0 < len(report.to_json_dict()["per_k"]["k"]) < report.ks.size
+        assert report.to_json_dict()["per_k"] == self._kept_columns(report)
+
+    def test_count_kept_where_probability_underflowed(self):
+        report = ApproxReport(
+            ks=np.arange(3, 11, dtype=np.int64),
+            probabilities=np.array([0.0, 0.25, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.5]),
+            counts=[0, 14, 0, 0, 0, 3, 0, 9],
+            methods=["normal", "normal", "exact", "normal", "normal", "exact", "normal", "normal"],
+            total=26,
+        )
+        per_k = report.to_json_dict()["per_k"]
+        assert per_k == self._kept_columns(report)
+        # k = 8 has count 3 at probability 0.0; k = 7 has count 0 at p > 0
+        assert per_k["k"] == [4, 7, 8, 10]
+        assert per_k["count"] == ["14", "0", "3", "9"]
 
     def test_rows_iterator_covers_all_k(self):
         report = exact_perfect_sum([1, 2, 3, 4], 5, "eq")
