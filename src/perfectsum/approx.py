@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ndtr
+from scipy.special import gammainc, ndtr
 
 from .moments import SetStatistics, set_statistics, subset_sum_mean, subset_sum_variance
 
@@ -43,7 +43,8 @@ class SumDistribution:
     """A unified view of an approximating distribution for a subset sum.
 
     Concrete kinds expose ``cdf`` (vectorized), ``mass`` over an interval,
-    plus ``mean`` and ``variance``.
+    plus ``mean`` and ``variance``. A zero ``variance`` marks an atom at
+    ``mean``.
     """
 
     kind: str
@@ -62,20 +63,18 @@ class SumDistribution:
 
 @dataclass(frozen=True)
 class NormalSum(SumDistribution):
+    """Normal law; ``mean`` and ``variance`` are floats or equal-shape arrays."""
+
     mean: float
     variance: float
     kind: str = "normal"
 
     @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
+    def sd(self):
+        return np.sqrt(self.variance)
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.sd)
-
-    def pdf(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -126,15 +125,6 @@ class IrwinHallSum(SumDistribution):
             out[i] = _irwin_hall_cdf_std(ui, self.k)
         return out if np.ndim(x) else float(out[0])
 
-    def pdf(self, x):
-        if self.k > IRWIN_HALL_EXACT_MAX_K:
-            return NormalSum(self.mean, self.variance).pdf(x)
-        u = np.atleast_1d(self._standardize(x))
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            out[i] = _irwin_hall_pdf_std(ui, self.k) / (self.high - self.low)
-        return out if np.ndim(x) else float(out[0])
-
 
 def _irwin_hall_cdf_std(u: float, k: int) -> float:
     # F(u) = (1/k!) * sum_j (-1)^j C(k,j) (u-j)^k over j <= floor(u)
@@ -147,18 +137,6 @@ def _irwin_hall_cdf_std(u: float, k: int) -> float:
     ]
     val = math.fsum(terms) / math.factorial(k)
     return min(max(val, 0.0), 1.0)
-
-
-def _irwin_hall_pdf_std(u: float, k: int) -> float:
-    if u <= 0.0 or u >= k:
-        return 0.0
-    if k == 1:
-        return 1.0
-    terms = [
-        (-1.0) ** j * math.comb(k, j) * (u - j) ** (k - 1)
-        for j in range(int(math.floor(u)) + 1)
-    ]
-    return max(math.fsum(terms) / math.factorial(k - 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -185,23 +163,18 @@ class ChiSquareSum(SumDistribution):
         x = np.asarray(x, dtype=np.float64)
         return gammainc(self.dof / 2.0, np.maximum(x, 0.0) / 2.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        a = self.dof / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = (a - 1) * np.log(x) - x / 2.0 - a * math.log(2.0) - gammaln(a)
-        return np.where(x > 0, np.exp(logpdf), 0.0)
 
-
-def normal_sum_approx(stats: SetStatistics, k: int) -> SumDistribution:
+def normal_sum_approx(stats: SetStatistics, k) -> SumDistribution:
     """Normal approximation of the size-k subset sum with corrected variance.
 
     Mean and variance come from the exact subset-sum moment formulas; a
     zero variance (k = n, or a constant set) yields the degenerate kind.
+    For an array of sizes the result is one ``NormalSum`` over all of
+    them, whose zero-variance entries ``probability_query`` reads as atoms.
     """
     mean = subset_sum_mean(stats, k)
     var = subset_sum_variance(stats, k)
-    if var <= 0.0:
+    if np.ndim(var) == 0 and var <= 0.0:
         return DegenerateSum(atom=mean)
     return NormalSum(mean=mean, variance=var)
 
@@ -293,43 +266,48 @@ def berry_esseen_terms(values, k: int) -> BerryEsseenTerms:
     return _be_terms_from_aggregates(m2, abs3, k, n)
 
 
-def probability_query(
-    dist,
-    target: float,
-    relation: str,
-    granularity: float = 0.0,
-) -> float:
+def probability_query(dist, target: float, relation: str, granularity: float = 0.0):
     """P(sum {=, >=, <=} target) under an approximating distribution.
 
     ``granularity`` is the value spacing of the underlying discrete data
     (e.g. 1 for integer sets) and widens the query to the window
     ``(target - g/2, target + g/2]`` as a continuity correction. It is
-    required for ``eq`` on continuous kinds (an exact continuous sum has
-    probability 0) and ignored for the degenerate kind, whose atom is
-    compared to the target directly. Works for any object with a
-    ``cdf``; a kernel density model qualifies.
+    required for ``eq`` on continuous distributions (an exact continuous
+    sum has probability 0) and ignored for atoms: a zero ``variance``
+    means a point mass at ``mean``, compared to the target directly.
+    Works for any object with a ``cdf``; one without ``variance`` (a
+    kernel density model) is continuous. Returns a float for scalar
+    parameters and an array, one entry per stratum, for array ones.
     """
     if relation not in ("eq", "ge", "le"):
         raise ValueError(f"relation must be one of ('eq', 'ge', 'le'), got {relation!r}")
     if granularity < 0:
         raise ValueError(f"granularity must be >= 0, got {granularity}")
 
-    if getattr(dist, "kind", None) == "degenerate":
-        atom = dist.atom
-        if relation == "eq":
-            return 1.0 if atom == target else 0.0
-        if relation == "ge":
-            return 1.0 if atom >= target else 0.0
-        return 1.0 if atom <= target else 0.0
-
+    atom = np.asarray(getattr(dist, "variance", 1.0)) <= 0.0
     g = granularity
-    if relation == "eq":
-        if g == 0.0:
+    prob = 0.0
+    if not atom.all():
+        if relation == "eq" and g == 0.0:
             raise ValueError(
                 "eq query on a continuous distribution needs granularity > 0; "
                 "an exact continuous sum has probability 0"
             )
-        return float(np.clip(dist.cdf(target + g / 2) - dist.cdf(target - g / 2), 0.0, 1.0))
-    if relation == "ge":
-        return float(np.clip(1.0 - dist.cdf(target - g / 2), 0.0, 1.0))
-    return float(np.clip(dist.cdf(target + g / 2), 0.0, 1.0))
+        # atoms divide by a zero sd here; their entries are replaced below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if relation == "eq":
+                prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
+            elif relation == "ge":
+                prob = 1.0 - dist.cdf(target - g / 2)
+            else:
+                prob = dist.cdf(target + g / 2)
+    if atom.any():
+        if relation == "eq":
+            hit = dist.mean == target
+        elif relation == "ge":
+            hit = dist.mean >= target
+        else:
+            hit = dist.mean <= target
+        prob = np.where(atom, hit, prob)
+    prob = np.clip(prob, 0.0, 1.0)
+    return float(prob) if np.ndim(prob) == 0 else prob

@@ -198,15 +198,7 @@ def _cmd_evaluate(args) -> int:
         ref_samples=args.ref_samples,
     )
     if args.format == "csv":
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout)
-        writer.writerow(("n", "k", "method", "metric", "value", "seed"))
-        for row in result.rows:
-            writer.writerow(
-                ["" if row.get(key) is None else row.get(key)
-                 for key in ("n", "k", "method", "metric", "value", "seed")]
-            )
+        result.write_csv(sys.stdout)
     else:
         _emit({"metadata": result.metadata, "rows": result.rows})
     return 0

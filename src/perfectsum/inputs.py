@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -80,8 +79,6 @@ def _parse_json(text: str, path) -> InputDocument:
         values = [float(x) for x in doc]
     except (TypeError, ValueError) as err:
         raise InputError(f"{path}: non-numeric JSON value: {err}") from err
-    if any(not math.isfinite(v) for v in values):
-        raise InputError(f"{path}: non-finite value in JSON array")
     return InputDocument(values=_finite(values, str(path)), name=name, family=family)
 
 

@@ -71,9 +71,12 @@ def set_statistics(values) -> SetStatistics:
     return SetStatistics(n=int(arr.size), mean=float(arr.mean()), variance=float(arr.var()))
 
 
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"subset size k={k} out of range 1..{n}")
+def _check_k(k, n: int) -> None:
+    """Raise unless every size in the int or array ``k`` lies in 1..n."""
+    ks = np.asarray(k)
+    bad = ks[(ks < 1) | (ks > n)]
+    if bad.size:
+        raise ValueError(f"subset size k={bad[0]} out of range 1..{n}")
 
 
 def membership_probability(k: int, n: int) -> float:
@@ -82,24 +85,26 @@ def membership_probability(k: int, n: int) -> float:
     return k / n
 
 
-def subset_sum_mean(stats: SetStatistics, k: int) -> float:
-    """Expected sum of a uniformly random size-k subset: k times the set mean."""
+def subset_sum_mean(stats: SetStatistics, k):
+    """Expected sum of a uniformly random size-k subset: k times the set mean.
+
+    ``k`` is an int or an array of sizes; the result has the same shape.
+    """
     _check_k(k, stats.n)
     return k * stats.mean
 
 
-def subset_sum_variance(stats: SetStatistics, k: int) -> float:
+def subset_sum_variance(stats: SetStatistics, k):
     """Variance of the sum of a uniformly random size-k subset.
 
     Equals ``k * variance * (1 - (k-1)/(n-1))``: the i.i.d. term shrunk by
     the finite-population correction. Zero when ``k == n`` (the whole set
-    is the only subset). For ``k == 1`` the correction factor is 1 by
-    definition, which also covers the degenerate ``n == 1`` set.
+    is the only subset). For ``k == 1`` the correction factor is exactly 1,
+    which also covers the degenerate ``n == 1`` set. ``k`` is an int or an
+    array of sizes; the result has the same shape.
     """
     _check_k(k, stats.n)
-    if k == 1:
-        return stats.variance
-    return k * stats.variance * (1.0 - (k - 1) / (stats.n - 1))
+    return k * stats.variance * (1.0 - (k - 1) / max(stats.n - 1, 1))
 
 
 def pair_covariance(stats: SetStatistics) -> float:

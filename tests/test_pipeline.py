@@ -168,6 +168,38 @@ class TestApproximatePerfectSum:
                 expected = probability_query(dist, 25.0, relation, 2.0)
                 assert report.probabilities[i] == expected, (relation, k)
 
+        # atoms: constant sets, n = 1 and windows that end at k = n; the
+        # array query must equal the scalar query of each stratum
+        cases = [  # values, target, granularity, k_min, k_max
+            (values, 25.0, 2.0, 9, 17),
+            ([1.5] * 6, 4.5, 0.0, 1, 6),
+            ([1.5] * 6, 4.5, 0.5, 2, 6),
+            ([3.0] * 5, 9.0, None, 1, 5),
+            ([2.5], 2.5, 0.0, 1, 1),
+            ([4.0], 3.0, 1.0, 1, 1),
+        ]
+        for values, target, g, k_min, k_max in cases:
+            stats = set_statistics(values)
+            ks = np.arange(k_min, k_max + 1)
+            for relation in ("eq", "ge", "le"):
+                report = approximate_perfect_sum(
+                    values, target,
+                    ApproxConfig(relation=relation, granularity=g, k_min=k_min, k_max=k_max),
+                )
+                g_used = report.meta["granularity"]
+                for sizes in (ks, ks.astype(np.float64)):
+                    array = probability_query(
+                        normal_sum_approx(stats, sizes), target, relation, g_used
+                    )
+                    assert isinstance(array, np.ndarray) and array.shape == ks.shape
+                    for i, k in enumerate(ks.tolist()):
+                        expected = probability_query(
+                            normal_sum_approx(stats, k), target, relation, g_used
+                        )
+                        assert isinstance(expected, float)
+                        assert array[i] == expected, (values, relation, k)
+                        assert report.probabilities[i] == expected, (values, relation, k)
+
     def test_kde_per_stratum_seeds_are_stable(self):
         values = [3, 1, 4, 1, 5, 9, 2, 6]
         config = ApproxConfig(method="kde", relation="ge", samples=400, seed=5)
@@ -190,6 +222,31 @@ class TestApproximatePerfectSum:
     def test_eq_needs_granularity_on_real_sets(self):
         with pytest.raises(ValueError, match="granularity"):
             approximate_perfect_sum([1.5, 2.25, 3.75], 4.0, ApproxConfig(relation="eq"))
+
+    def test_eq_on_atoms_needs_no_granularity(self):
+        # every stratum of a constant real set or of n = 1 is an atom,
+        # counted exactly at granularity 0
+        report = approximate_perfect_sum([1.5, 1.5, 1.5], 3.0, ApproxConfig(relation="eq"))
+        assert report.meta["granularity"] == 0.0
+        assert report.counts_by_k() == {1: 0, 2: 3, 3: 0}
+        assert report.total == 3
+        for target, total in ((2.5, 1), (2.0, 0)):
+            report = approximate_perfect_sum([2.5], target, ApproxConfig(relation="eq"))
+            assert report.counts == [total] and report.total == total
+        # a window holding only k = n of a real set
+        report = approximate_perfect_sum(
+            [1.5, 2.25, 3.75], 7.5, ApproxConfig(relation="eq", k_min=3, k_max=3)
+        )
+        assert report.counts == [1]
+
+    def test_eq_without_granularity_rejected_when_a_stratum_is_continuous(self):
+        # k = 2 is continuous even though k = 3 is an atom
+        with pytest.raises(
+            ValueError, match="needs granularity > 0; an exact continuous sum has probability 0"
+        ):
+            approximate_perfect_sum(
+                [1.5, 2.25, 3.75], 7.5, ApproxConfig(relation="eq", k_min=2, k_max=3)
+            )
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
