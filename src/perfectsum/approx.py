@@ -266,6 +266,17 @@ def berry_esseen_terms(values, k: int) -> BerryEsseenTerms:
     return _be_terms_from_aggregates(m2, abs3, k, n)
 
 
+def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> np.ndarray:
+    """Which exact sums satisfy the relation; ``eq`` counts the window (T - g/2, T + g/2]."""
+    if relation == "eq":
+        if g > 0:
+            return (sums > target - g / 2) & (sums <= target + g / 2)
+        return sums == target
+    if relation == "ge":
+        return sums >= target
+    return sums <= target
+
+
 def probability_query(dist, target: float, relation: str, granularity: float = 0.0):
     """P(sum {=, >=, <=} target) under an approximating distribution.
 
@@ -273,8 +284,10 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
     (e.g. 1 for integer sets) and widens the query to the window
     ``(target - g/2, target + g/2]`` as a continuity correction. It is
     required for ``eq`` on continuous distributions (an exact continuous
-    sum has probability 0) and ignored for atoms: a zero ``variance``
-    means a point mass at ``mean``, compared to the target directly.
+    sum has probability 0). A zero ``variance`` means an atom, a point
+    mass at ``mean``, counted by the rule exact strata use: ``ge`` and
+    ``le`` compare it to the target, ``eq`` asks whether it lies in the
+    window (or equals the target when g = 0).
     Works for any object with a ``cdf``; one without ``variance`` (a
     kernel density model) is continuous. Returns a float for scalar
     parameters and an array, one entry per stratum, for array ones.
@@ -302,12 +315,6 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
             else:
                 prob = dist.cdf(target + g / 2)
     if atom.any():
-        if relation == "eq":
-            hit = dist.mean == target
-        elif relation == "ge":
-            hit = dist.mean >= target
-        else:
-            hit = dist.mean <= target
-        prob = np.where(atom, hit, prob)
+        prob = np.where(atom, _relation_mask(dist.mean, target, relation, g), prob)
     prob = np.clip(prob, 0.0, 1.0)
     return float(prob) if np.ndim(prob) == 0 else prob

@@ -7,7 +7,10 @@ k = 1..n whose sum compares to a target, with exact arbitrary-precision
 results. Enumeration cost is 2^n, so it is capped (default n <= 26);
 the DP extends much further whenever the sum range is small. One
 (k, sum) table builder serves the DP counts and the integer path of
-``exact_sum_pmf``.
+``exact_sum_pmf``. It is banded: each element updates only the sums
+each row can reach. ``dp_counts`` also reads a size-k count off the
+complementary (n - k)-subsets when that table is narrower, so on a
+nonnegative set its table is O(min(target, total - target)) wide.
 """
 
 from __future__ import annotations
@@ -205,31 +208,12 @@ def _as_int_array(values) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _shift_add_rows(dp: np.ndarray, x: int, n: int) -> None:
-    # dp[k] gains dp[k-1] shifted by x along the sum axis; k descends so each
-    # element is counted once per subset.
-    width = dp.shape[1]
-    for k in range(n, 0, -1):
-        if x == 0:
-            dp[k, :] += dp[k - 1, :]
-        elif x > 0:
-            if x < width:
-                dp[k, x:] += dp[k - 1, : width - x]
-        else:
-            if -x < width:
-                dp[k, :x] += dp[k - 1, -x:]
-
-
 def _table(shape: tuple[int, int], n: int) -> np.ndarray:
     if n <= _INT64_SAFE_N:
         return np.zeros(shape, dtype=np.int64)
     dp = np.empty(shape, dtype=object)
     dp[...] = 0
     return dp
-
-
-def _all_binomials(n: int) -> dict[int, int]:
-    return {k: math.comb(n, k) for k in range(1, n + 1)}
 
 
 def dp_counts(
@@ -242,12 +226,16 @@ def dp_counts(
     """Exact subset counts per size k via dynamic programming on (k, partial sum).
 
     Requires an integer-valued set. Every relation is read off one table
-    of counts per (k, sum) up to a bound b: ``eq`` reads column b = target,
-    ``le`` sums the prefix up to b = floor(target), and ``ge`` is the
-    complement C(n, k) minus the ``le`` count at b = ceil(target) - 1.
-    Nonnegative sets keep only sums 0..b, a table of width O(target),
-    because a nonnegative set can never bring a larger partial sum back
-    down. Signed sets keep the full sum range with an offset axis.
+    of counts per (k, sum) at an integer bound b: ``eq`` reads column
+    b = target, ``le`` sums the prefix up to b = floor(target), and
+    ``ge`` is the complement C(n, k) minus the ``le`` count at
+    b = ceil(target) - 1. The table keeps sums from the smallest possible
+    one up to max(b, 0) and, within that, only each row's band of
+    reachable sums (see ``_sum_table``). A k-subset with sum s leaves an
+    (n - k)-subset with sum total - s, so the same counts can be read at
+    row n - k of the table for the mirrored bound; the narrower of the
+    two tables is built. On a nonnegative set its width is
+    O(min(target, total - target)).
 
     Raises
     ------
@@ -258,40 +246,44 @@ def dp_counts(
     _check_relation(relation)
     ints = _as_int_array(values)
     n = ints.size
-
     lo = int(ints[ints < 0].sum())
     hi = int(ints[ints > 0].sum())
 
-    # Shortcut when the target is outside the achievable sum range.
-    zeros = CountBySize.from_counts({k: 0 for k in range(1, n + 1)})
-    everything = CountBySize.from_counts(_all_binomials(n))
-    if relation == "eq" and (target < lo or target > hi or target != int(target)):
-        return zeros
-    if relation == "ge":
-        if target > hi:
-            return zeros
-        if target <= lo:
-            return everything
-    if relation == "le":
-        if target < lo:
-            return zeros
-        if target >= hi:
-            return everything
-
+    # clamping keeps an infinite target out of the integer bound and changes no count
+    target = min(max(target, lo - 1), hi + 1)
+    # rows[j] counts the j-subsets with sum <= bound (cumulative) or == bound
+    cumulative = relation != "eq"
     if relation == "eq":
+        if target != int(target):
+            return CountBySize.from_counts(dict.fromkeys(range(1, n + 1), 0))
         bound = int(target)
     elif relation == "le":
         bound = math.floor(target)
     else:
         bound = math.ceil(target) - 1
-    dp = _sum_table(ints, lo, min(hi, bound) if lo == 0 else hi, max_cells)
+    # sums == b mirror to sums == total - b; sums <= b mirror to sums >= total - b,
+    # the complement of sums <= total - b - 1
+    mirrored = lo + hi - bound - int(cumulative)
+    flip = min(hi, max(mirrored, 0)) < min(hi, max(bound, 0))
+    if flip:
+        bound = mirrored
 
-    if relation == "eq":
-        per_k = {k: int(dp[k, bound - lo]) for k in range(1, n + 1)}
+    if bound < lo or (bound > hi and not cumulative):
+        rows = [0] * (n + 1)
+    elif bound >= hi and cumulative:
+        rows = [math.comb(n, j) for j in range(n + 1)]
     else:
-        per_k = {k: int(dp[k, : bound - lo + 1].sum()) for k in range(1, n + 1)}
-        if relation == "ge":
-            per_k = {k: math.comb(n, k) - c for k, c in per_k.items()}
+        dp = _sum_table(ints, lo, min(hi, max(bound, 0)), max_cells)
+        col = bound - lo
+        rows = (dp[:, : col + 1].sum(axis=1) if cumulative else dp[:, col]).tolist()
+    if flip:
+        rows.reverse()
+
+    # ge complements its le count, and a mirrored cumulative read complements once more
+    if (relation == "ge") != (flip and cumulative):
+        per_k = {k: math.comb(n, k) - rows[k] for k in range(1, n + 1)}
+    else:
+        per_k = {k: rows[k] for k in range(1, n + 1)}
     return CountBySize.from_counts(per_k)
 
 
@@ -307,17 +299,29 @@ def _check_cells(rows: int, width: int, max_cells: int) -> None:
 def _sum_table(ints: np.ndarray, lo: int, top: int, max_cells: int) -> np.ndarray:
     """Table with ``dp[k, s - lo]`` = number of k-subsets of ``ints`` with sum s.
 
-    Sums run from ``lo`` (the sum of the negative elements) to ``top``;
-    larger sums are dropped. Dropping is exact only when ``top`` is the
-    largest sum or no element is negative.
+    Sums run from ``lo`` (the sum of the negative elements) to
+    ``top >= 0``; larger sums are dropped. Elements are added in
+    ascending order, so a subset's running sum never exceeds
+    max(0, its final sum) and dropping is exact. After the i smallest
+    elements, row j can be nonzero only between the sum of the j
+    smallest and the sum of the j largest of them; each element updates
+    only that band of each row, clipped to the table.
     """
     n = ints.size
     width = top - lo + 1
     _check_cells(n + 1, width, max_cells)
     dp = _table((n + 1, width), n)
     dp[0, -lo] = 1
-    for x in ints.tolist():
-        _shift_add_rows(dp, int(x), n)
+    ascending = np.sort(ints).tolist()
+    prefix = [0, *itertools.accumulate(ascending)]
+    for i, x in enumerate(ascending):
+        # row k gains row k - 1 shifted by x; k descends so each element is
+        # counted once per subset, and rows above i + 1 are still empty
+        for k in range(i + 1, 0, -1):
+            first = prefix[k - 1] - lo
+            last = min(prefix[i] - prefix[i - k + 1], top, top - x) - lo
+            if first <= last:
+                dp[k, first + x : last + x + 1] += dp[k - 1, first : last + 1]
     return dp
 
 
@@ -371,27 +375,23 @@ def _merge_close(sums: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Group sorted sums onto the first representative within ``tol``.
 
     Adjacent-gap runs are found vectorized. A run can only be wider than
-    ``tol`` when near-ties chain, which real data essentially never
-    produces; those rare runs get the sequential anchor walk.
+    ``tol`` when near-ties chain, which real data rarely produces; only
+    those runs get the sequential anchor walk, whose extra group starts
+    are merged into the vectorized ones.
     """
     boundaries = np.flatnonzero(np.diff(sums) > tol) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [sums.size]])
-    ok = sums[ends - 1] - sums[starts] <= tol
-    if ok.all():
-        return sums[starts].copy(), ends - starts
-
-    support: list[float] = []
-    counts: list[int] = []
-    for lo, hi, good in zip(starts.tolist(), ends.tolist(), ok.tolist()):
-        if good:
-            support.append(float(sums[lo]))
-            counts.append(hi - lo)
-            continue
+    wide = np.flatnonzero(sums[ends - 1] - sums[starts] > tol)
+    splits = []
+    for lo, hi in zip(starts[wide].tolist(), ends[wide].tolist()):
         i = lo
-        while i < hi:
-            j = int(np.searchsorted(sums[i:hi], sums[i] + tol, side="right")) + i
-            support.append(float(sums[i]))
-            counts.append(j - i)
-            i = j
-    return np.asarray(support), np.asarray(counts, dtype=np.int64)
+        while True:
+            i += int(np.searchsorted(sums[i:hi], sums[i] + tol, side="right"))
+            if i == hi:
+                break
+            splits.append(i)
+    if splits:
+        starts = np.insert(starts, np.searchsorted(starts, splits), splits)
+        ends = np.append(starts[1:], sums.size)
+    return sums[starts], ends - starts

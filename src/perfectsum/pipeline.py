@@ -21,6 +21,7 @@ from . import exact as exact_mod
 from .approx import (
     DegenerateSum,
     _be_terms_from_aggregates,
+    _relation_mask,
     _standardized_be_aggregates,
     chi_square_sum,
     irwin_hall_sum,
@@ -204,16 +205,6 @@ def _build_distribution(values, stats: SetStatistics, k: int, config: ApproxConf
 def per_k_seed(master_seed: int, k: int) -> int:
     """Deterministic per-stratum sampling seed derived from (master seed, k)."""
     return int(np.random.SeedSequence((master_seed, k)).generate_state(1, np.uint64)[0])
-
-
-def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> np.ndarray:
-    if relation == "eq":
-        if g > 0:
-            return (sums > target - g / 2) & (sums <= target + g / 2)
-        return sums == target
-    if relation == "ge":
-        return sums >= target
-    return sums <= target
 
 
 def _exact_stratum_count(arr: np.ndarray, k: int, target: float, relation: str, g: float) -> int:

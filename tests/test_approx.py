@@ -160,7 +160,8 @@ class TestProbabilityQuery:
         dist = DegenerateSum(10.0)
         for g in (0.0, 1.0, 7.0):
             assert probability_query(dist, 10.0, "eq", g) == 1.0
-            assert probability_query(dist, 9.0, "eq", g) == 0.0
+            # eq counts the atom in the window (9 - g/2, 9 + g/2], as exact strata do
+            assert probability_query(dist, 9.0, "eq", g) == (1.0 if g == 7.0 else 0.0)
             assert probability_query(dist, 9.0, "ge", g) == 1.0
             assert probability_query(dist, 11.0, "le", g) == 1.0
 

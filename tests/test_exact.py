@@ -15,6 +15,7 @@ from perfectsum import (
     subset_sum_mean,
     subset_sum_variance,
 )
+from perfectsum.exact import _merge_close
 
 from conftest import brute_counts, brute_subset_sums, pascal_triangle
 
@@ -41,6 +42,58 @@ def ternary_sum_counts(mix, k):
                     math.comb(a, i) * math.comb(b, z) * math.comb(c, j)
                 )
     return by_sum
+
+
+def poly_counts(values):
+    """by_size[k][s] = number of k-subsets with sum s, from the product of (1 + y z^x).
+
+    Each polynomial in z is one Python int in base 2^B (Kronecker
+    substitution): the coefficient of z^e sits in bits [e*B, (e+1)*B).
+    B = n + 1 bits hold every count <= 2^n, so no coefficient carries.
+    Exponents are shifted by the smallest value so they stay nonnegative:
+    a k-subset with sum s sits at z^(s - k*low).
+    """
+    n = len(values)
+    low = min(min(values), 0)
+    bits = n + 1
+    polys = [1] + [0] * n
+    for x in values:
+        for k in range(n, 0, -1):
+            polys[k] += polys[k - 1] << ((x - low) * bits)
+    mask = (1 << bits) - 1
+    by_size = []
+    for k, p in enumerate(polys):
+        by_sum, e = {}, 0
+        while p:
+            if p & mask:
+                by_sum[e + k * low] = p & mask
+            p >>= bits
+            e += 1
+        by_size.append(by_sum)
+    return by_size
+
+
+def counts_from_poly(by_size, target, relation):
+    holds = {"eq": lambda s: s == target, "ge": lambda s: s >= target, "le": lambda s: s <= target}
+    test = holds[relation]
+    return {
+        k: sum(c for s, c in by_sum.items() if test(s))
+        for k, by_sum in enumerate(by_size[1:], start=1)
+    }
+
+
+def anchor_walk(sums, tol):
+    """Sequential grouping of sorted sums: each group takes every sum within tol of its first."""
+    support, counts = [], []
+    i = 0
+    while i < len(sums):
+        j = i
+        while j < len(sums) and sums[j] <= sums[i] + tol:
+            j += 1
+        support.append(sums[i])
+        counts.append(j - i)
+        i = j
+    return support, counts
 
 
 class TestBinomial:
@@ -173,6 +226,15 @@ class TestDpCounts:
         with pytest.raises(InfeasibleError, match="cells"):
             dp_counts([10**7, 10**7, 10**7], 10**7, "eq", max_cells=1000)
 
+    def test_budget_counts_the_mirrored_table(self):
+        # ge 810 of 1..40 (total 820) reads le 10 at row n - k: 41 x 11 cells
+        values = list(range(1, 41))
+        res = dp_counts(values, 810, "ge", max_cells=41 * 11)
+        assert res.counts == counts_from_poly(poly_counts(values), 810, "ge")
+        assert res.counts[40] == 1 and res.counts[39] == 10
+        with pytest.raises(InfeasibleError, match="41 x 11 = 451 cells"):
+            dp_counts(values, 810, "ge", max_cells=450)
+
     def test_big_set_beyond_enumeration_cap(self):
         # 40 ones: DP handles what enumeration cannot
         res = dp_counts([1] * 40, 20, "eq")
@@ -198,6 +260,43 @@ class TestDpCounts:
                 assert dp_counts(values, target, relation).counts == expected, (
                     mix, target, relation,
                 )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            list(range(7)) * 10,  # n = 70, nonnegative with zeros
+            [3, 0, 5, 1, 1, 8, 2] * 11,  # n = 77, nonnegative, repeated values
+            list(range(-4, 6)) * 7,  # n = 70, signed, total 35
+            [-6, 2, 1, 1, 0, 3, -1, 4] * 9,  # n = 72, signed, total 36
+        ],
+    )
+    def test_object_table_matches_polynomial_product(self, values, rng):
+        values = rng.permutation(values).tolist()
+        n, total = len(values), sum(values)
+        lo = sum(v for v in values if v < 0)
+        hi = sum(v for v in values if v > 0)
+        by_size = poly_counts(values)
+        # both sides of total / 2 (direct and mirrored tables), the range ends,
+        # and targets past them; k = n is read from row 0 when mirrored
+        points = [lo - 1, lo, 0, total // 4, total // 2, total - total // 3, hi - 2, hi, hi + 1]
+        targets = sorted({float(t) for t in points} | {t + 0.5 for t in points})
+        for target in targets:
+            for relation in ("eq", "ge", "le"):
+                res = dp_counts(values, target, relation)
+                assert res.counts == counts_from_poly(by_size, target, relation), (
+                    target, relation,
+                )
+                assert res.total == sum(res.counts.values())
+
+    @pytest.mark.parametrize("n", [12, 90])
+    def test_ge_is_le_of_the_complement(self, n, rng):
+        values = rng.integers(0, 9, n).tolist()
+        total = sum(values)
+        for target in (0.0, 3.0, total / 3, total / 2, total / 2 + 0.5, 0.9 * total, total - 1.0):
+            ge = dp_counts(values, target, "ge")
+            le = dp_counts(values, total - target, "le")
+            for k in range(1, n):
+                assert ge[k] == le[n - k], (target, k)
 
 
 class TestExactSumPmf:
@@ -257,3 +356,21 @@ class TestExactSumPmf:
                 assert pmf.variance == pytest.approx(
                     subset_sum_variance(stats, k), rel=1e-9, abs=1e-9 * scale
                 )
+
+
+class TestMergeClose:
+    def test_chained_runs_match_anchor_walk(self, rng):
+        draws = rng.normal(size=20_000)
+        # chains of near-ties 0.6e-9 apart are wider than tol = 1e-9, including
+        # one below the smallest and one above the largest draw; exact ties too
+        chains = [
+            start + 0.6e-9 * np.arange(length)
+            for start, length in ((0.5, 5), (-1.25, 3), (2.0, 8), (draws.min() - 1, 4),
+                                  (draws.max() + 1, 6))
+        ]
+        sums = np.sort(np.concatenate([draws, *chains, draws[:50], [0.25] * 3]))
+        support, counts = _merge_close(sums, 1e-9)
+        ref_support, ref_counts = anchor_walk(sums.tolist(), 1e-9)
+        assert support.tolist() == ref_support
+        assert counts.tolist() == ref_counts
+        assert support.dtype == np.float64 and counts.dtype == np.int64

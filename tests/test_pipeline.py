@@ -239,6 +239,19 @@ class TestApproximatePerfectSum:
         )
         assert report.counts == [1]
 
+    def test_eq_atom_counts_in_the_granularity_window(self):
+        # every stratum of [3, 3, 3] is an atom; k = 2 sums to 6, inside (5.7, 6.7]
+        config = ApproxConfig(relation="eq", granularity=1)
+        report = approximate_perfect_sum([3, 3, 3], 6.2, config)
+        hybrid = approximate_perfect_sum(
+            [3, 3, 3], 6.2, ApproxConfig(relation="eq", granularity=1, exact_small_k=2)
+        )
+        assert report.counts_by_k() == hybrid.counts_by_k() == {1: 0, 2: 3, 3: 0}
+        assert exact_perfect_sum([3, 3, 3], 6.2, "eq", tolerance=0.5).total == 3
+        # the window is open below and closed above
+        for target, counts in ((5.5, [0, 3, 0]), (6.5, [0, 0, 0]), (8.5, [0, 0, 1])):
+            assert approximate_perfect_sum([3, 3, 3], target, config).counts == counts
+
     def test_eq_without_granularity_rejected_when_a_stratum_is_continuous(self):
         # k = 2 is continuous even though k = 3 is an atom
         with pytest.raises(
