@@ -168,12 +168,16 @@ def enumerate_counts(
     return CountBySize.from_counts({k: int(counts[k]) for k in range(1, n + 1)})
 
 
+# Rows per batch of index combinations in ``_sums_of_size``.
+_COMBINATION_BATCH = 200_000
+
+
 def _sums_of_size(arr: np.ndarray, k: int):
     """Yield the sums of all C(n, k) size-k subsets, in vectorized batches.
 
     Small sets use the split-half merge (cost 2^(n/2) per half); larger
-    sets walk index combinations directly, which is what makes small-k
-    strata of big sets affordable.
+    sets walk index combinations directly, in lexicographic order, which
+    is what makes small-k strata of big sets affordable.
     """
     n = arr.size
     if n <= 32:
@@ -186,16 +190,50 @@ def _sums_of_size(arr: np.ndarray, k: int):
             if a.size and b.size:
                 yield (a[:, None] + b[None, :]).ravel()
         return
-    combos = itertools.combinations(range(n), k)
-    batch = 200_000
-    while True:
-        idx = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, batch)),
-            dtype=np.int64,
-        )
-        if idx.size == 0:
-            return
-        yield arr[idx.reshape(-1, k)].sum(axis=1)
+    for idx in _combinations(n, k, np.arange(n - k + 1)[:, None]):
+        yield arr[idx].sum(axis=1)
+
+
+def _combinations(n: int, k: int, prefixes: np.ndarray):
+    """Yield the k-combinations of range(n) that extend ``prefixes``, in lexicographic order.
+
+    ``prefixes`` holds ascending rows of j >= 1 indices, in lexicographic
+    order. Consecutive prefixes are completed together while their
+    combinations fit in one batch of ``_COMBINATION_BATCH`` rows; a
+    prefix with more than that is split on its next index.
+    """
+    j = prefixes.shape[1]
+    sizes = [math.comb(n - 1 - last, k - j) for last in prefixes[:, -1].tolist()]
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        if sizes[start] > _COMBINATION_BATCH:
+            yield from _combinations(n, k, _extend(prefixes[start : start + 1], n, k))
+            start += 1
+            continue
+        # the longest run from `start` within one batch; it stops before any
+        # prefix that alone exceeds the batch
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + _COMBINATION_BATCH, side="right"))
+        batch = prefixes[start:stop]
+        while batch.shape[1] < k:
+            batch = _extend(batch, n, k)
+        yield batch
+        start = stop
+
+
+def _extend(prefixes: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Every one-index extension of each prefix that can still reach size k, in order.
+
+    A prefix ending at index l is repeated once per next index
+    l + 1 .. n - k + j, where j is the prefix length.
+    """
+    last = prefixes[:, -1]
+    counts = n - k + prefixes.shape[1] - last
+    rows = np.repeat(prefixes, counts, axis=0)
+    # position of each new row inside its prefix's run, plus l + 1
+    offsets = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.column_stack([rows, offsets + np.repeat(last + 1, counts)])
 
 
 def _as_int_array(values) -> np.ndarray:
@@ -296,7 +334,9 @@ def _check_cells(rows: int, width: int, max_cells: int) -> None:
         )
 
 
-def _sum_table(ints: np.ndarray, lo: int, top: int, max_cells: int) -> np.ndarray:
+def _sum_table(
+    ints: np.ndarray, lo: int, top: int, max_cells: int, rows: int | None = None
+) -> np.ndarray:
     """Table with ``dp[k, s - lo]`` = number of k-subsets of ``ints`` with sum s.
 
     Sums run from ``lo`` (the sum of the negative elements) to
@@ -305,19 +345,21 @@ def _sum_table(ints: np.ndarray, lo: int, top: int, max_cells: int) -> np.ndarra
     max(0, its final sum) and dropping is exact. After the i smallest
     elements, row j can be nonzero only between the sum of the j
     smallest and the sum of the j largest of them; each element updates
-    only that band of each row, clipped to the table.
+    only that band of each row, clipped to the table. Only the sizes
+    k <= ``rows`` (default n) are built; a row depends on no larger size.
     """
     n = ints.size
+    rows = n if rows is None else rows
     width = top - lo + 1
-    _check_cells(n + 1, width, max_cells)
-    dp = _table((n + 1, width), n)
+    _check_cells(rows + 1, width, max_cells)
+    dp = _table((rows + 1, width), n)
     dp[0, -lo] = 1
     ascending = np.sort(ints).tolist()
     prefix = [0, *itertools.accumulate(ascending)]
     for i, x in enumerate(ascending):
         # row k gains row k - 1 shifted by x; k descends so each element is
         # counted once per subset, and rows above i + 1 are still empty
-        for k in range(i + 1, 0, -1):
+        for k in range(min(i + 1, rows), 0, -1):
             first = prefix[k - 1] - lo
             last = min(prefix[i] - prefix[i - k + 1], top, top - x) - lo
             if first <= last:
@@ -335,10 +377,13 @@ def exact_sum_pmf(
     """Exact pmf of the sum of a uniform random size-k subset.
 
     Integer-valued sets go through the DP table, which is exact and fast
-    regardless of C(n, k). Real-valued sets enumerate all C(n, k)
-    subsets (capped at ``max_subsets``) and merge sums that agree within
-    ``merge_tolerance`` of the group's first representative, so float
-    associativity noise cannot split a support point.
+    regardless of C(n, k). It builds only the sizes up to min(k, n - k):
+    when k > n/2 a k-subset with sum s leaves an (n - k)-subset with sum
+    total - s, so the pmf is row n - k read backwards. Real-valued sets
+    enumerate all C(n, k) subsets (capped at ``max_subsets``) and merge
+    sums that agree within ``merge_tolerance`` of the group's first
+    representative, so float associativity noise cannot split a support
+    point.
     """
     arr = as_finite_array(values)
     n = arr.size
@@ -352,7 +397,12 @@ def exact_sum_pmf(
         ints = rounded.astype(np.int64)
         lo = int(ints[ints < 0].sum())
         hi = int(ints[ints > 0].sum())
-        row = _sum_table(ints, lo, hi, _DEFAULT_MAX_TABLE_CELLS)[k]
+        r = min(k, n - k)
+        row = _sum_table(ints, lo, hi, _DEFAULT_MAX_TABLE_CELLS, rows=r)[r]
+        if r < k:
+            # sums run lo..hi along the row; reversed, index i holds the
+            # (n - k)-subsets with sum hi - i, whose complements sum to lo + i
+            row = row[::-1]
         idx = np.flatnonzero(row)
         support = (idx + lo).astype(np.float64)
         mass = np.array([int(row[i]) / total_subsets for i in idx], dtype=np.float64)

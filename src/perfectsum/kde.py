@@ -7,17 +7,32 @@ sum. The bandwidth rule is the 10% quantile of the consecutive gaps of
 the sorted sample. Density and CDF are exact for the tophat mixture, so
 the model integrates to 1 with no quadrature.
 
-Subsets come from index-tuple rejection when 2k^2 <= n, and otherwise
-from Floyd's algorithm (Bentley & Floyd, "A sample of brilliance",
-CACM 30(9), 1987), run on a block of rows at once: it draws
-min(k, n - k) exact integers per subset, and when k > n/2 the drawn
-indices are the ones left out. Randomness comes from numpy's seeded
-PCG64 generator; a fixed seed reproduces the model bit for bit.
+There are two samplers, both exact and seeded through numpy's PCG64
+generator, so a fixed seed reproduces the model bit for bit:
+
+- ``shared_subset_sums`` serves every stratum of one set at once. It
+  takes m uniformly random permutations of the set (Fisher-Yates, as in
+  Durstenfeld, CACM 7(7), 1964); the first k entries of a uniform
+  permutation are a uniform k-subset, so column k - 1 of the rows'
+  running sums is a sample of m size-k sums for every k together, in
+  O(m * n) for all n strata. The approximation pipeline uses it. The
+  strata share their draws, so their samples are correlated across k,
+  although each stratum's marginal is exact.
+- ``sample_subset_sums`` serves one stratum. Subsets come from
+  index-tuple rejection when 2k^2 <= n, and otherwise from Floyd's
+  algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9),
+  1987), run on a block of rows at once: it draws min(k, n - k) exact
+  integers per subset, and when k > n/2 the drawn indices are the ones
+  left out. For one k this costs O(m * min(k, n - k)), less than a full
+  permutation per sample, so callers that need a single stratum (the
+  divergence experiment, ``fit_kde`` and the sampled divergence
+  reference) keep it, with their own per-k seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +41,7 @@ from .moments import as_finite_array
 __all__ = [
     "KdeModel",
     "sample_subset_sums",
+    "shared_subset_sums",
     "fit_bandwidth",
     "fit_kde",
     "kde_density",
@@ -35,7 +51,8 @@ __all__ = [
 
 DEFAULT_KDE_SAMPLES = 10_000
 
-# Row block size for the vectorized sampler, in matrix cells.
+# Budget of one sample block, in matrix cells: a row block of either
+# sampler, or one group of the shared sampler's strata (m cells each).
 _SAMPLE_BLOCK_CELLS = 20_000_000
 # Rows per pass of Floyd's loop. Every column of draws reads and writes
 # each row's taken mask: at small n a pass this size keeps the mask in
@@ -116,6 +133,49 @@ def _floyd_sums(arr: np.ndarray, k: int, draws: np.ndarray) -> np.ndarray:
         kept = ~taken.reshape(rows, n)
         acc = np.broadcast_to(arr, (rows, n))[kept].reshape(rows, k).sum(axis=1)
     return acc
+
+
+def shared_subset_sums(values, k_lo: int, k_hi: int, m: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield m sampled size-k subset sums for each k = k_lo..k_hi, in order.
+
+    Row i of every stratum's sample comes from the same uniformly random
+    permutation i of the set: the size-k sum is its running sum at
+    position k, which adds only the k kept elements. The sizes lie in
+    1..n - 1 (k = n has one subset and needs no sampling); an empty range
+    yields nothing. The strata are built in groups whose m x (strata)
+    output stays within ``_SAMPLE_BLOCK_CELLS``; each group restarts the
+    generator from ``seed`` and redraws the same m permutations, in row
+    blocks of at most ``_SAMPLE_BLOCK_CELLS`` cells. Full rows are always
+    permuted, so neither the budget nor the range asked for changes any
+    sample.
+    """
+    arr = as_finite_array(values)
+    n = arr.size
+    if k_lo <= k_hi and not 1 <= k_lo <= k_hi < n:
+        raise ValueError(f"sampled subset sizes must lie in 1..{n - 1}, got {k_lo}..{k_hi}")
+    if m < 2:
+        raise ValueError(f"need at least 2 samples for a bandwidth, got m={m}")
+    group = max(1, _SAMPLE_BLOCK_CELLS // m)
+    for g_lo in range(k_lo, k_hi + 1, group):
+        g_hi = min(g_lo + group - 1, k_hi)
+        # copies, so that no caller's view of a stratum keeps the group's
+        # block alive while the next group is built
+        yield from map(np.copy, _running_sums(arr, g_lo, g_hi, m, seed))
+
+
+def _running_sums(arr: np.ndarray, k_lo: int, k_hi: int, m: int, seed: int) -> np.ndarray:
+    """Running sums at positions k_lo..k_hi of m seeded permutations, one size per row."""
+    n = arr.size
+    buf = np.empty((min(m, max(1, _SAMPLE_BLOCK_CELLS // n)), n))
+    out = np.empty((k_hi - k_lo + 1, m))
+    rng = np.random.default_rng(seed)
+    for r0 in range(0, m, buf.shape[0]):
+        perm = buf[: m - r0]
+        perm[:] = arr
+        rng.permuted(perm, axis=1, out=perm)
+        np.cumsum(perm, axis=1, out=perm)
+        out[:, r0 : r0 + perm.shape[0]] = perm[:, k_lo - 1 : k_hi].T
+    return out
 
 
 def fit_bandwidth(sums) -> float:

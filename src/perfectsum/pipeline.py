@@ -29,7 +29,13 @@ from .approx import (
     probability_query,
 )
 from .exact import InfeasibleError, binomial
-from .kde import DEFAULT_KDE_SAMPLES, KdeModel, fit_bandwidth, sample_subset_sums
+from .kde import (
+    DEFAULT_KDE_SAMPLES,
+    KdeModel,
+    fit_bandwidth,
+    sample_subset_sums,
+    shared_subset_sums,
+)
 from .moments import SetStatistics, as_finite_array, set_statistics
 
 __all__ = [
@@ -195,8 +201,9 @@ def _build_distribution(values, stats: SetStatistics, k: int, config: ApproxConf
         if config.df is None:
             raise ValueError("chi_square method needs df")
         return chi_square_sum(k, config.df)
-    # kde: per-k seed derived from (master seed, k) so any evaluation order
-    # and any parallel split agree with the serial run
+    # kde for one stratum alone (the divergence experiment): a per-k seed
+    # derived from (master seed, k), so each stratum's sample is the same
+    # whichever other strata are asked for
     seed_k = per_k_seed(config.seed, k)
     sums = sample_subset_sums(values, k, config.samples, seed_k)
     return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=seed_k)
@@ -223,6 +230,15 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     float probability; the total is the exact big-integer sum of the
     per-k counts. k = n is always handled by the degenerate point mass
     (there is only one subset of full size).
+
+    The KDE method draws its samples once for all strata:
+    ``kde.shared_subset_sums`` reads every stratum's m sums off the
+    running sums of the same m seeded random permutations, in O(m * n)
+    rather than O(m * n^2) for m fresh subsets per stratum. Each stratum's
+    sample is exactly uniform, but the strata's samples are correlated,
+    which widens the spread of the total's error. A k window does not
+    change any stratum's sample. Single-stratum callers (the divergence
+    experiment, ``fit_kde``) keep the per-k sampler ``sample_subset_sums``.
     """
     arr = as_finite_array(values)
     stats = set_statistics(arr)
@@ -247,9 +263,20 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         probs = probability_query(dist, target, config.relation, g)
     else:
         probs = np.empty(ks.size, dtype=np.float64)
+        if config.method == "kde":
+            last = min(k_max, n - 1)
+            samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
         for i, k in enumerate(ks.tolist()):
             try:
-                dist = _build_distribution(arr, stats, k, config)
+                if k == n:
+                    # only one subset: the set itself
+                    dist = DegenerateSum(atom=k * stats.mean)
+                elif config.method == "kde":
+                    sums = next(samples)
+                    h = fit_bandwidth(sums)
+                    dist = KdeModel(sums=sums, bandwidth=h, k=k, seed=config.seed)
+                else:
+                    dist = _build_distribution(arr, stats, k, config)
                 probs[i] = probability_query(dist, target, config.relation, g)
             except (ValueError, InfeasibleError) as err:
                 raise PipelineError(f"stratum k={k} failed: {err}") from err

@@ -1,5 +1,6 @@
 """Exact-oracle tests: enumeration vs DP vs brute force, binomials, pmfs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from perfectsum import (
     subset_sum_mean,
     subset_sum_variance,
 )
-from perfectsum.exact import _merge_close
+from perfectsum import exact as exact_mod
+from perfectsum.exact import _merge_close, _sum_table, _sums_of_size
 
 from conftest import brute_counts, brute_subset_sums, pascal_triangle
 
@@ -344,6 +346,22 @@ class TestExactSumPmf:
             near = [pmf.support[j] for j in (max(i - 1, 0), min(i, pmf.support.size - 1))]
             assert min(abs(s - v) for v in near) <= 1e-9
 
+    @pytest.mark.parametrize("low, n", [(0, 64), (-9, 40), (0, 9)])
+    def test_integer_pmf_equals_the_full_table_row(self, low, n, rng):
+        # the pmf builds sizes up to min(k, n - k) and reflects k > n/2; the
+        # full table's row k is the reference, bit for bit
+        ints = rng.integers(low, 21, n)
+        lo, hi = int(ints[ints < 0].sum()), int(ints[ints > 0].sum())
+        full = _sum_table(ints, lo, hi, 10**8)
+        for k in sorted({1, 3, n // 2, n - 3, n - 1, n}):
+            row = full[k]
+            idx = np.flatnonzero(row)
+            support = (idx + lo).astype(np.float64)
+            mass = np.array([int(row[i]) / math.comb(n, k) for i in idx])
+            pmf = exact_sum_pmf(ints.tolist(), k)
+            assert pmf.support.tobytes() == support.tobytes(), k
+            assert pmf.mass.tobytes() == mass.tobytes(), k
+
     def test_moments_match_formulas(self, rng):
         for values in (rng.integers(0, 20, 12).tolist(), rng.uniform(0, 20, 11).tolist()):
             stats = set_statistics(values)
@@ -356,6 +374,30 @@ class TestExactSumPmf:
                 assert pmf.variance == pytest.approx(
                     subset_sum_variance(stats, k), rel=1e-9, abs=1e-9 * scale
                 )
+
+
+class TestSumsOfSize:
+    @pytest.mark.parametrize(
+        "n, k, batch",
+        [
+            (33, 1, None),
+            (33, 33, None),
+            (40, 4, None),  # 91,390 rows in one batch
+            (33, 3, 7),  # batches end inside the prefixes (0,) and (0, 1)
+            (34, 30, 50),  # k > 8: numpy's pairwise row sums
+            (36, 4, 1_000),
+        ],
+    )
+    def test_large_sets_match_itertools(self, n, k, batch, monkeypatch, rng):
+        # sets past 32 build lexicographic index batches with numpy; the sums
+        # must equal those of itertools.combinations bit for bit, in order
+        if batch is not None:
+            monkeypatch.setattr(exact_mod, "_COMBINATION_BATCH", batch)
+        arr = rng.chisquare(3, n)
+        got = list(_sums_of_size(arr, k))
+        idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+        assert np.concatenate(got).tobytes() == arr[idx].sum(axis=1).tobytes()
+        assert max(part.size for part in got) <= exact_mod._COMBINATION_BATCH
 
 
 class TestMergeClose:

@@ -19,6 +19,7 @@ from perfectsum import (
     subset_sum_variance,
 )
 from perfectsum.evaluation import discretize
+from perfectsum.kde import shared_subset_sums
 from perfectsum.simulation import SetSpec, generate_set
 
 
@@ -119,6 +120,63 @@ class TestSampleSubsetSums:
         small = sums[sums < 1e15]
         assert small.size > 0
         assert set(small.tolist()) <= {10.0, 11.0, 12.0, 13.0, 14.0}
+
+
+class TestSharedSubsetSums:
+    def test_every_stratum_uniform_over_subsets(self):
+        # powers of 2 make each subset's sum unique, so frequencies identify
+        # subsets; one draw serves every k < n
+        import collections
+
+        values = (2.0 ** np.arange(8)).tolist()
+        m = 140_000  # 2,000 per subset at k = 4, the largest stratum
+        columns = list(shared_subset_sums(values, 1, 7, m, seed=3))
+        assert len(columns) == 7
+        for k, sums in enumerate(columns, start=1):
+            subsets = math.comb(8, k)
+            freq = collections.Counter(sums.tolist())
+            assert len(freq) == subsets, k
+            assert all(bin(int(s)).count("1") == k for s in freq), k
+            counts = np.array(list(freq.values()))
+            expected = m / subsets
+            chi2_stat = float(((counts - expected) ** 2 / expected).sum())
+            df = subsets - 1
+            assert chi2_stat < df + 6 * math.sqrt(2 * df), k
+
+    def test_grouping_and_row_blocks_do_not_change_samples(self, monkeypatch):
+        import perfectsum.kde as kde_mod
+
+        values = np.random.default_rng(1).uniform(0, 10, 19)
+        full = np.array(list(shared_subset_sums(values, 1, 18, 500, seed=4)))
+        rerun = np.array(list(shared_subset_sums(values, 1, 18, 500, seed=4)))
+        other = np.array(list(shared_subset_sums(values, 1, 18, 500, seed=5)))
+        assert full.shape == (18, 500)
+        assert np.array_equal(full, rerun)
+        assert not np.array_equal(full, other)
+        # 140 cells: one stratum per group, 7-row blocks; 1,500 cells: groups
+        # of 3 strata, 78-row blocks. Neither divides 18 strata or 500 rows.
+        for cells in (140, 1_500):
+            with monkeypatch.context() as patched:
+                patched.setattr(kde_mod, "_SAMPLE_BLOCK_CELLS", cells)
+                blocked = np.array(list(shared_subset_sums(values, 1, 18, 500, seed=4)))
+            assert np.array_equal(full, blocked), cells
+        # a narrower range reads the same columns
+        some = np.array(list(shared_subset_sums(values, 9, 17, 500, seed=4)))
+        assert np.array_equal(some, full[8:17])
+
+    def test_sums_add_only_the_kept_elements(self):
+        # total minus the rest would lose the small elements to 1e16's rounding
+        for sums in shared_subset_sums([1e16, 1, 2, 3, 4, 5], 4, 4, 2_000, seed=9):
+            small = sums[sums < 1e15]
+            assert small.size > 0
+            assert set(small.tolist()) <= {10.0, 11.0, 12.0, 13.0, 14.0}
+
+    def test_rejects_k_equal_n_and_too_few_samples(self):
+        with pytest.raises(ValueError, match="1..3"):
+            next(shared_subset_sums([1, 2, 3, 4], 2, 4, 10, seed=0))
+        with pytest.raises(ValueError, match="at least 2"):
+            next(shared_subset_sums([1, 2, 3, 4], 2, 2, 1, seed=0))
+        assert list(shared_subset_sums([1, 2, 3, 4], 4, 3, 10, seed=0)) == []
 
 
 class TestFitBandwidth:

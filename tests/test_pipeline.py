@@ -90,6 +90,11 @@ class TestApproximatePerfectSum:
             [1, 2, 3, 4], 10, ApproxConfig(method="chi_square", df=2.0, relation="ge")
         )
         assert report.counts_by_k()[4] == 1
+        for target, count in ((10, 1), (10.5, 0)):
+            report = approximate_perfect_sum(
+                [1, 2, 3, 4], target, ApproxConfig(method="kde", relation="ge", samples=50)
+            )
+            assert report.counts_by_k()[4] == count
 
     def test_counts_within_bounds(self, rng):
         for _ in range(5):
@@ -212,6 +217,25 @@ class TestApproximatePerfectSum:
                                      k_min=3, k_max=3)
         )
         assert c.counts[0] == a.counts_by_k()[3]
+
+    def test_kde_strata_read_one_shared_draw(self, rng):
+        from perfectsum import KdeModel, fit_bandwidth, probability_query
+        from perfectsum.kde import shared_subset_sums
+
+        values = rng.integers(0, 21, 30).tolist()
+        config = ApproxConfig(method="kde", relation="ge", samples=300, seed=8, k_max=29)
+        report = approximate_perfect_sum(values, 200.0, config)
+        g = report.meta["granularity"]
+        columns = shared_subset_sums(values, 1, 29, 300, seed=8)
+        for k, sums in enumerate(columns, start=1):
+            model = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=8)
+            assert report.probabilities[k - 1] == probability_query(model, 200.0, "ge", g)
+
+    def test_kde_too_few_samples_fail_with_k(self):
+        with pytest.raises(PipelineError, match="k=2 failed: need at least 2 samples"):
+            approximate_perfect_sum(
+                [1, 2, 3], 2, ApproxConfig(method="kde", samples=1, k_min=2)
+            )
 
     def test_missing_family_params_fail_with_k(self):
         with pytest.raises(PipelineError, match="k=1"):
