@@ -49,7 +49,6 @@ from .evaluation import DiscretePmf, discretize, js_divergence
 from .pipeline import (
     ApproxConfig,
     ApproxReport,
-    PipelineError,
     approximate_perfect_sum,
     exact_perfect_sum,
     auto_granularity,
@@ -102,7 +101,6 @@ __all__ = [
     "js_divergence",
     "ApproxConfig",
     "ApproxReport",
-    "PipelineError",
     "approximate_perfect_sum",
     "exact_perfect_sum",
     "auto_granularity",

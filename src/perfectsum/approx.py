@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from .moments import SetStatistics, set_statistics, subset_sum_mean, subset_sum_variance
+from .moments import SetStatistics, _check_k, set_statistics, subset_sum_mean, subset_sum_variance
 
 __all__ = [
     "SumDistribution",
@@ -98,7 +98,12 @@ class DegenerateSum(SumDistribution):
 
 @dataclass(frozen=True)
 class IrwinHallSum(SumDistribution):
-    """Sum of k i.i.d. uniforms on [low, high] (rescaled Irwin-Hall)."""
+    """Sum of k i.i.d. uniforms on [low, high] (rescaled Irwin-Hall).
+
+    ``k`` is an int or an array of sizes. Sizes above
+    ``IRWIN_HALL_EXACT_MAX_K`` take the family's normal limit in one
+    array call; the exact sum overwrites the entries at or below it.
+    """
 
     k: int
     low: float
@@ -106,24 +111,23 @@ class IrwinHallSum(SumDistribution):
     kind: str = "irwin_hall"
 
     @property
-    def mean(self) -> float:  # type: ignore[override]
+    def mean(self):  # type: ignore[override]
         return self.k * (self.low + self.high) / 2.0
 
     @property
-    def variance(self) -> float:  # type: ignore[override]
+    def variance(self):  # type: ignore[override]
         return self.k * (self.high - self.low) ** 2 / 12.0
 
-    def _standardize(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.k * self.low) / (self.high - self.low)
-
     def cdf(self, x):
-        if self.k > IRWIN_HALL_EXACT_MAX_K:
-            return NormalSum(self.mean, self.variance).cdf(x)
-        u = np.atleast_1d(self._standardize(x))
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            out[i] = _irwin_hall_cdf_std(ui, self.k)
-        return out if np.ndim(x) else float(out[0])
+        out = NormalSum(self.mean, self.variance).cdf(x)
+        u = (np.asarray(x, dtype=np.float64) - self.k * self.low) / (self.high - self.low)
+        u, k = np.broadcast_arrays(u, self.k)
+        exact = k <= IRWIN_HALL_EXACT_MAX_K
+        if not exact.any():
+            return out
+        out = np.array(out, dtype=np.float64)
+        out[exact] = [_irwin_hall_cdf_std(ui, int(ki)) for ui, ki in zip(u[exact], k[exact])]
+        return out if out.ndim else float(out)
 
 
 def _irwin_hall_cdf_std(u: float, k: int) -> float:
@@ -141,22 +145,25 @@ def _irwin_hall_cdf_std(u: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class ChiSquareSum(SumDistribution):
-    """Sum of k i.i.d. chi-square(df) variables: chi-square with k*df dof."""
+    """Sum of k i.i.d. chi-square(df) variables: chi-square with k*df dof.
+
+    ``k`` is an int or an array of sizes; ``cdf`` is ``gammainc`` elementwise.
+    """
 
     k: int
     df: float
     kind: str = "chi_square_sum"
 
     @property
-    def dof(self) -> float:
+    def dof(self):
         return self.k * self.df
 
     @property
-    def mean(self) -> float:  # type: ignore[override]
+    def mean(self):  # type: ignore[override]
         return self.dof
 
     @property
-    def variance(self) -> float:  # type: ignore[override]
+    def variance(self):  # type: ignore[override]
         return 2.0 * self.dof
 
     def cdf(self, x):
@@ -179,19 +186,22 @@ def normal_sum_approx(stats: SetStatistics, k) -> SumDistribution:
     return NormalSum(mean=mean, variance=var)
 
 
-def irwin_hall_sum(k: int, low: float, high: float) -> IrwinHallSum:
-    """Distribution of the sum of k i.i.d. uniforms on [low, high]."""
-    if not k >= 1:
+def _check_sizes(k) -> None:
+    if not np.all(np.asarray(k) >= 1):
         raise ValueError(f"k must be >= 1, got {k}")
+
+
+def irwin_hall_sum(k, low: float, high: float) -> IrwinHallSum:
+    """Distribution of the sum of k i.i.d. uniforms on [low, high]; k an int or an array."""
+    _check_sizes(k)
     if not low < high:
         raise ValueError(f"need low < high, got [{low}, {high}]")
     return IrwinHallSum(k=k, low=low, high=high)
 
 
-def chi_square_sum(k: int, df: float) -> ChiSquareSum:
-    """Distribution of the sum of k i.i.d. chi-square(df) variables."""
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def chi_square_sum(k, df: float) -> ChiSquareSum:
+    """Distribution of the sum of k i.i.d. chi-square(df) variables; k an int or an array."""
+    _check_sizes(k)
     if not df > 0:
         raise ValueError(f"df must be > 0, got {df}")
     return ChiSquareSum(k=k, df=float(df))
@@ -206,7 +216,8 @@ class BerryEsseenTerms:
     ``b = q`` and the remaining terms reduce to the third-moment
     aggregate. ``bound_over_c`` is ``min(delta1, delta2 + 1/sqrt(k*q))``
     with the ``1/0 = +inf`` convention, so ``q = 0`` (k = n) yields the
-    delta1 branch, which is itself infinite there.
+    delta1 branch, which is itself infinite there. Each term is a float
+    for one subset size and an array, one entry per size, for an array.
     """
 
     p: float
@@ -217,53 +228,52 @@ class BerryEsseenTerms:
     bound_over_c: float
 
 
-def _be_terms_from_aggregates(
-    m2: float, abs3: float, k: int, n: int
-) -> BerryEsseenTerms:
-    # After standardization m2 is 1 up to rounding, so b = 1 - p*m2 = q; the
-    # standardized third moment feeds every remaining term (degenerate
-    # variables make E|x - p E(x)|^3 collapse to |x|^3 q^3).
-    p = k / n
-    q = 1.0 - p
-    b = 1.0 - p * m2
-    if q == 0.0:
-        return BerryEsseenTerms(
-            p=p, q=q, b=max(b, 0.0), delta1=math.inf, delta2=math.inf,
-            bound_over_c=math.inf,
-        )
-    if b <= 0.0:
-        raise ValueError("bound undefined for this input: b <= 0 after standardization")
-    delta1 = abs3 / (math.sqrt(k) * b**1.5)
-    delta2 = abs3 / math.sqrt(n * b) + abs3 * q**3 / (math.sqrt(n) * b**1.5)
-    branch = delta2 + 1.0 / math.sqrt(k * q)
-    return BerryEsseenTerms(
-        p=p, q=q, b=b, delta1=delta1, delta2=delta2, bound_over_c=min(delta1, branch)
-    )
-
-
-def _standardized_be_aggregates(values) -> tuple[int, float, float]:
-    stats = set_statistics(values)
-    if stats.variance <= 0.0:
-        raise ValueError("bound undefined for this input: set variance is zero")
-    z = (np.asarray(values, dtype=np.float64).reshape(-1) - stats.mean) / math.sqrt(
-        stats.variance
-    )
-    return stats.n, float(np.mean(z * z)), float(np.mean(np.abs(z) ** 3))
-
-
-def berry_esseen_terms(values, k: int) -> BerryEsseenTerms:
+def berry_esseen_terms(values, k) -> BerryEsseenTerms:
     """Evaluate the Berry-Esseen diagnostic for drawing k of the given values.
+
+    ``k`` is an int or an array of sizes. The powers are numpy's, which
+    can differ from Python's ``pow`` in the last bits (by up to 3 ulp in
+    ``delta1``, ``delta2`` and ``bound_over_c``); ``p``, ``q`` and ``b``
+    are exact float64 evaluations of their formulas.
 
     Raises
     ------
     ValueError
         If the set has zero variance (no normal limit exists, and the
-        standardization that the bound's terms assume is undefined).
+        standardization that the bound's terms assume is undefined), or
+        if ``b <= 0`` for a size below n.
     """
-    n, m2, abs3 = _standardized_be_aggregates(values)
-    if not 1 <= k <= n:
-        raise ValueError(f"subset size k={k} out of range 1..{n}")
-    return _be_terms_from_aggregates(m2, abs3, k, n)
+    stats = set_statistics(values)
+    if stats.variance <= 0.0:
+        raise ValueError("bound undefined for this input: set variance is zero")
+    n = stats.n
+    _check_k(k, n)
+    z = (np.asarray(values, dtype=np.float64).reshape(-1) - stats.mean) / math.sqrt(
+        stats.variance
+    )
+    m2 = float(np.mean(z * z))
+    abs3 = float(np.mean(np.abs(z) ** 3))
+    # After standardization m2 is 1 up to rounding, so b = 1 - p*m2 = q; the
+    # standardized third moment feeds every remaining term (degenerate
+    # variables make E|x - p E(x)|^3 collapse to |x|^3 q^3).
+    p = np.asarray(k) / n
+    q = 1.0 - p
+    b = 1.0 - p * m2
+    full = q == 0.0
+    if np.any(b[~full] <= 0.0):
+        raise ValueError("bound undefined for this input: b <= 0 after standardization")
+    # k = n divides by zero and takes the infinite delta1 branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_15 = b**1.5
+        delta1 = np.where(full, np.inf, abs3 / (np.sqrt(k) * b_15))
+        delta2 = np.where(
+            full, np.inf, abs3 / np.sqrt(n * b) + abs3 * q**3 / (math.sqrt(n) * b_15)
+        )
+        bound = np.minimum(delta1, delta2 + 1.0 / np.sqrt(k * q))
+    terms = (p, q, np.where(full, np.maximum(b, 0.0), b), delta1, delta2, bound)
+    if np.ndim(k) == 0:
+        terms = map(float, terms)
+    return BerryEsseenTerms(*terms)
 
 
 def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``exact`` (ground-truth counting), ``approx`` (the O(n)
-approximation loop), ``evaluate`` (per-k divergence tables), and
+approximation), ``evaluate`` (per-k divergence tables), and
 ``simulate`` (config-driven experiments writing CSV/JSON files).
 
 stdout carries only the report; messages go to stderr. Exit codes:
@@ -20,12 +20,7 @@ from pathlib import Path
 from .exact import InfeasibleError, RELATIONS
 from .inputs import InputError, read_input
 from .kde import DEFAULT_KDE_SAMPLES
-from .pipeline import (
-    ApproxConfig,
-    PipelineError,
-    approximate_perfect_sum,
-    exact_perfect_sum,
-)
+from .pipeline import ApproxConfig, approximate_perfect_sum, exact_perfect_sum
 from .simulation import (
     DEFAULT_REFERENCE_SAMPLES,
     SetSpec,
@@ -274,12 +269,6 @@ def main(argv=None) -> int:
     except InfeasibleError as err:
         print(f"perfectsum: infeasible: {err}", file=sys.stderr)
         return 2
-    except PipelineError as err:
-        if isinstance(err.__cause__, InfeasibleError):
-            print(f"perfectsum: infeasible: {err}", file=sys.stderr)
-            return 2
-        print(f"perfectsum: input error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as err:
         print(f"perfectsum: input error: {err}", file=sys.stderr)
         return 1

@@ -1,11 +1,12 @@
-"""End-to-end perfect-sum counting: exact engines and the O(n) approximation loop.
+"""End-to-end perfect-sum counting: exact engines and the O(n) approximation.
 
-The approximation loops over every subset size k, models the size-k sum
-with the configured distribution family, converts the queried
-probability into a subset count via round-half-even of p * C(n, k), and
-accumulates an arbitrary-precision total. Counts are never accumulated
-in floating point. Per-k failures abort the whole run with the k
-attached; a silently missing stratum would corrupt the total invisibly.
+The approximation models the sum of every subset size k with the
+configured distribution family, converts the queried probability into
+a subset count via round-half-even of p * C(n, k), and accumulates an
+arbitrary-precision total. Counts are never accumulated in floating
+point. A parametric family answers every stratum in one array query;
+only the KDE method fits one model per stratum. An invalid input raises
+for the whole run; no stratum is silently left out of the total.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ import numpy as np
 
 from . import exact as exact_mod
 from .approx import (
+    BerryEsseenTerms,
     DegenerateSum,
-    _be_terms_from_aggregates,
     _relation_mask,
-    _standardized_be_aggregates,
+    berry_esseen_terms,
     chi_square_sum,
     irwin_hall_sum,
     normal_sum_approx,
     probability_query,
 )
-from .exact import InfeasibleError, binomial
+from .exact import binomial
 from .kde import (
     DEFAULT_KDE_SAMPLES,
     KdeModel,
@@ -41,7 +42,6 @@ from .moments import SetStatistics, as_finite_array, set_statistics
 __all__ = [
     "ApproxConfig",
     "ApproxReport",
-    "PipelineError",
     "approximate_perfect_sum",
     "exact_perfect_sum",
     "auto_granularity",
@@ -54,13 +54,9 @@ METHODS = ("normal", "irwin_hall", "chi_square", "kde")
 EXACT_STRATUM_BUDGET = 1_000_000
 
 
-class PipelineError(RuntimeError):
-    """A per-k stratum failed; the run is aborted rather than left with a gap."""
-
-
 @dataclass(frozen=True)
 class ApproxConfig:
-    """Configuration of the approximation loop.
+    """Configuration of the approximation.
 
     ``granularity=None`` means auto: the gcd of pairwise differences for
     integer-valued sets (their sum lattice spacing), 0 for real-valued
@@ -96,10 +92,11 @@ class ApproxReport:
     """Per-size probabilities and counts plus the arbitrary-precision total.
 
     Stored columnar (``ks`` aligned with ``probabilities``, ``counts``,
-    ``methods``) so million-row reports stay cheap; ``rows()`` yields
-    the per-k records. ``to_json_dict`` finds the rows it keeps with numpy
-    masks, so its Python work grows with the nonzero strata, not with n.
-    ``meta`` echoes the full invocation for reproducibility.
+    ``methods``, and each array of ``diagnostics``) so million-row reports
+    stay cheap; ``rows()`` yields the per-k records. ``to_json_dict``
+    finds the rows it keeps with numpy masks, so its Python work grows
+    with the nonzero strata, not with n. ``meta`` echoes the full
+    invocation for reproducibility.
     """
 
     ks: np.ndarray
@@ -108,7 +105,7 @@ class ApproxReport:
     methods: list
     total: int
     meta: dict = field(default_factory=dict)
-    diagnostics: Optional[list] = None
+    diagnostics: Optional[BerryEsseenTerms] = None
 
     def rows(self) -> Iterator[dict]:
         for i in range(self.ks.size):
@@ -140,22 +137,26 @@ class ApproxReport:
             "count": [str(self.counts[i]) for i in kept],
             "method_used": [self.methods[i] for i in kept],
         }
-        if self.diagnostics is not None:
+        terms = self.diagnostics
+        if terms is not None:
             doc["diagnostics"] = {
-                "k": [int(k) for k in self.ks],
-                "p": [t.p for t in self.diagnostics],
-                "q": [t.q for t in self.diagnostics],
-                "b": [t.b for t in self.diagnostics],
-                "delta1": [_json_real(t.delta1) for t in self.diagnostics],
-                "delta2": [_json_real(t.delta2) for t in self.diagnostics],
-                "bound_over_c": [_json_real(t.bound_over_c) for t in self.diagnostics],
+                "k": self.ks.tolist(),
+                "p": terms.p.tolist(),
+                "q": terms.q.tolist(),
+                "b": terms.b.tolist(),
+                "delta1": _json_reals(terms.delta1),
+                "delta2": _json_reals(terms.delta2),
+                "bound_over_c": _json_reals(terms.bound_over_c),
             }
         return doc
 
 
-def _json_real(x: float):
+def _json_reals(a: np.ndarray) -> list:
     # strict JSON has no Infinity/NaN literals
-    return x if math.isfinite(x) else repr(x)
+    out = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = repr(out[i])
+    return out
 
 
 def auto_granularity(values) -> float:
@@ -187,8 +188,9 @@ def _round_half_even(p: float, c: int) -> int:
     return q
 
 
-def _build_distribution(values, stats: SetStatistics, k: int, config: ApproxConfig):
-    if k == stats.n:
+def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
+    """Model of the size-k sum; k is one size or, for a parametric family, an array of sizes."""
+    if np.ndim(k) == 0 and k == stats.n:
         # only one subset: the set itself
         return DegenerateSum(atom=k * stats.mean)
     if config.method == "normal":
@@ -228,8 +230,11 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     Runs one distribution evaluation per k. The per-k count is
     round-half-even of probability * C(n, k), computed exactly from the
     float probability; the total is the exact big-integer sum of the
-    per-k counts. k = n is always handled by the degenerate point mass
-    (there is only one subset of full size).
+    per-k counts. A parametric family models all strata with one
+    distribution over the array of sizes and answers them with one
+    ``probability_query``. k = n, for every method, is the one subset
+    holding the whole set: its sum n * mean is compared to the target
+    exactly, as an atom.
 
     The KDE method draws its samples once for all strata:
     ``kde.shared_subset_sums`` reads every stratum's m sums off the
@@ -256,30 +261,23 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     methods = [config.method] * ks.size
 
-    if config.method == "normal":
-        # one query over every stratum; the sizes become float64 once here
-        # rather than in each step of the moment formulas
-        dist = normal_sum_approx(stats, ks.astype(np.float64))
+    if config.method == "kde":
+        probs = np.empty(ks.size, dtype=np.float64)
+        last = min(k_max, n - 1)
+        samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
+        for i, (k, sums) in enumerate(zip(range(k_min, last + 1), samples)):
+            dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=config.seed)
+            probs[i] = probability_query(dist, target, config.relation, g)
+    elif k_min < n:
+        # one query for every stratum, k = n replaced below; the sizes
+        # become float64 once here rather than in each step of the moment
+        # formulas
+        dist = _build_distribution(arr, stats, ks.astype(np.float64), config)
         probs = probability_query(dist, target, config.relation, g)
     else:
-        probs = np.empty(ks.size, dtype=np.float64)
-        if config.method == "kde":
-            last = min(k_max, n - 1)
-            samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
-        for i, k in enumerate(ks.tolist()):
-            try:
-                if k == n:
-                    # only one subset: the set itself
-                    dist = DegenerateSum(atom=k * stats.mean)
-                elif config.method == "kde":
-                    sums = next(samples)
-                    h = fit_bandwidth(sums)
-                    dist = KdeModel(sums=sums, bandwidth=h, k=k, seed=config.seed)
-                else:
-                    dist = _build_distribution(arr, stats, k, config)
-                probs[i] = probability_query(dist, target, config.relation, g)
-            except (ValueError, InfeasibleError) as err:
-                raise PipelineError(f"stratum k={k} failed: {err}") from err
+        probs = np.empty(1)
+    if k_max == n:
+        probs[-1] = _relation_mask(n * stats.mean, target, config.relation, g)
 
     # hybrid mode: replace small strata with exact enumeration
     exact_idx: dict[int, int] = {}
@@ -287,10 +285,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         i = k - k_min
         if binomial(n, k) > EXACT_STRATUM_BUDGET:
             continue
-        try:
-            exact_idx[i] = _exact_stratum_count(arr, k, target, config.relation, g)
-        except (ValueError, InfeasibleError) as err:
-            raise PipelineError(f"stratum k={k} failed: {err}") from err
+        exact_idx[i] = _exact_stratum_count(arr, k, target, config.relation, g)
         methods[i] = "exact"
 
     # Python work only for the strata that get a count: the binomial
@@ -312,13 +307,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         probs[i] = cnt / binomial(n, k_min + i)
         total += cnt
 
-    diagnostics = None
-    if config.diagnostics:
-        try:
-            nn, m2, abs3 = _standardized_be_aggregates(arr)
-        except ValueError as err:
-            raise PipelineError(f"diagnostics failed: {err}") from err
-        diagnostics = [_be_terms_from_aggregates(m2, abs3, int(k), nn) for k in ks]
+    diagnostics = berry_esseen_terms(arr, ks) if config.diagnostics else None
 
     meta = {
         "command": "approx",

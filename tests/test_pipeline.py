@@ -10,7 +10,6 @@ import pytest
 from perfectsum import (
     ApproxConfig,
     ApproxReport,
-    PipelineError,
     approximate_perfect_sum,
     auto_granularity,
     binomial,
@@ -159,51 +158,96 @@ class TestApproximatePerfectSum:
         assert report.ks.tolist() == [2, 3]
 
     def test_vectorized_normal_path_matches_scalar_queries(self, rng):
-        # the fast path shares the moment formulas bit for bit
-        from perfectsum import normal_sum_approx, probability_query, set_statistics
+        # every parametric family answers its strata in one array query, bit
+        # for bit the scalar query of each stratum; k = n is the atom n * mean
+        from types import SimpleNamespace
 
-        values = rng.uniform(-10, 30, 17).tolist()
-        stats = set_statistics(values)
-        for relation in ("eq", "ge", "le"):
-            report = approximate_perfect_sum(
-                values, 25.0, ApproxConfig(relation=relation, granularity=2.0)
+        from perfectsum import (
+            DegenerateSum,
+            NormalSum,
+            chi_square_sum,
+            irwin_hall_sum,
+            normal_sum_approx,
+            probability_query,
+            set_statistics,
+        )
+        from perfectsum.approx import IRWIN_HALL_EXACT_MAX_K, _irwin_hall_cdf_std
+
+        def irwin_hall(stats, k):
+            return irwin_hall_sum(k, -10.0, 30.0)
+
+        def irwin_hall_one(stats, k):
+            # the exact sum up to the cutoff, the normal limit above it
+            if k > IRWIN_HALL_EXACT_MAX_K:
+                dist = irwin_hall(stats, k)
+                return NormalSum(dist.mean, dist.variance)
+            return SimpleNamespace(
+                cdf=lambda x: _irwin_hall_cdf_std((np.float64(x) - k * -10.0) / 40.0, k)
             )
-            for i, k in enumerate(report.ks.tolist()):
-                dist = normal_sum_approx(stats, k)
-                expected = probability_query(dist, 25.0, relation, 2.0)
-                assert report.probabilities[i] == expected, (relation, k)
 
-        # atoms: constant sets, n = 1 and windows that end at k = n; the
-        # array query must equal the scalar query of each stratum
+        def chi_square(stats, k):
+            return chi_square_sum(k, 3.0)
+
+        families = {  # method: (config fields, model of an array of sizes, of one size)
+            "normal": ({}, normal_sum_approx, normal_sum_approx),
+            "irwin_hall": ({"low": -10.0, "high": 30.0}, irwin_hall, irwin_hall_one),
+            "chi_square": ({"df": 3.0}, chi_square, chi_square),
+        }
+        values = rng.uniform(-10, 30, 17).tolist()
+        wide = rng.uniform(-10, 30, 60).tolist()
         cases = [  # values, target, granularity, k_min, k_max
+            (values, 25.0, 2.0, None, None),
             (values, 25.0, 2.0, 9, 17),
+            # Irwin-Hall is exact up to k = 40 and its normal limit above
+            (wide, 400.0, 2.0, 39, 41),
+            (wide[:41], 400.0, 2.0, 36, 41),
+            # atoms: constant sets, n = 1 and windows that end at k = n
             ([1.5] * 6, 4.5, 0.0, 1, 6),
             ([1.5] * 6, 4.5, 0.5, 2, 6),
             ([3.0] * 5, 9.0, None, 1, 5),
             ([2.5], 2.5, 0.0, 1, 1),
             ([4.0], 3.0, 1.0, 1, 1),
         ]
-        for values, target, g, k_min, k_max in cases:
-            stats = set_statistics(values)
-            ks = np.arange(k_min, k_max + 1)
-            for relation in ("eq", "ge", "le"):
-                report = approximate_perfect_sum(
-                    values, target,
-                    ApproxConfig(relation=relation, granularity=g, k_min=k_min, k_max=k_max),
-                )
-                g_used = report.meta["granularity"]
-                for sizes in (ks, ks.astype(np.float64)):
-                    array = probability_query(
-                        normal_sum_approx(stats, sizes), target, relation, g_used
+        checked = {method: 0 for method in families}
+        for method, (extra, model, model_one) in families.items():
+            for values, target, g, k_min, k_max in cases:
+                stats = set_statistics(values)
+                n = stats.n
+                ks = np.arange(k_min or 1, (k_max or n) + 1)
+                g_used = auto_granularity(values) if g is None else g
+
+                def scalar(k, relation):
+                    dist = DegenerateSum(k * stats.mean) if k == n else model_one(stats, k)
+                    return probability_query(dist, target, relation, g_used)
+
+                for relation in ("eq", "ge", "le"):
+                    config = ApproxConfig(
+                        method=method, relation=relation, granularity=g,
+                        k_min=k_min, k_max=k_max, **extra,
                     )
-                    assert isinstance(array, np.ndarray) and array.shape == ks.shape
+                    try:
+                        report = approximate_perfect_sum(values, target, config)
+                    except ValueError:
+                        # only where a stratum's own query fails (eq at g = 0)
+                        with pytest.raises(ValueError, match="needs granularity > 0"):
+                            [scalar(k, relation) for k in ks.tolist()]
+                        continue
+                    below = ks[ks < n]
+                    arrays = [
+                        probability_query(model(stats, sizes), target, relation, g_used)
+                        for sizes in (below, below.astype(np.float64))
+                    ] if below.size else []
+                    for array in arrays:
+                        assert isinstance(array, np.ndarray) and array.shape == below.shape
                     for i, k in enumerate(ks.tolist()):
-                        expected = probability_query(
-                            normal_sum_approx(stats, k), target, relation, g_used
-                        )
+                        expected = scalar(k, relation)
                         assert isinstance(expected, float)
-                        assert array[i] == expected, (values, relation, k)
-                        assert report.probabilities[i] == expected, (values, relation, k)
+                        assert report.probabilities[i] == expected, (method, relation, k)
+                        for array in arrays if k < n else []:
+                            assert array[i] == expected, (method, relation, k)
+                        checked[method] += 1
+        # only the eq queries at g = 0 on continuous strata are skipped
+        assert min(checked.values()) >= 150
 
     def test_kde_per_stratum_seeds_are_stable(self):
         values = [3, 1, 4, 1, 5, 9, 2, 6]
@@ -232,20 +276,29 @@ class TestApproximatePerfectSum:
             assert report.probabilities[k - 1] == probability_query(model, 200.0, "ge", g)
 
     def test_kde_too_few_samples_fail_with_k(self):
-        with pytest.raises(PipelineError, match="k=2 failed: need at least 2 samples"):
+        with pytest.raises(ValueError, match="need at least 2 samples for a bandwidth, got m=1"):
             approximate_perfect_sum(
                 [1, 2, 3], 2, ApproxConfig(method="kde", samples=1, k_min=2)
             )
 
     def test_missing_family_params_fail_with_k(self):
-        with pytest.raises(PipelineError, match="k=1"):
+        with pytest.raises(ValueError, match="irwin_hall method needs low and high bounds"):
             approximate_perfect_sum([1, 2, 3], 2, ApproxConfig(method="irwin_hall"))
-        with pytest.raises(PipelineError, match="k=1"):
+        with pytest.raises(ValueError, match="chi_square method needs df"):
             approximate_perfect_sum([1, 2, 3], 2, ApproxConfig(method="chi_square"))
 
     def test_eq_needs_granularity_on_real_sets(self):
-        with pytest.raises(ValueError, match="granularity"):
-            approximate_perfect_sum([1.5, 2.25, 3.75], 4.0, ApproxConfig(relation="eq"))
+        # every method raises the same error type for the same input error
+        for method, extra in (
+            ("normal", {}),
+            ("irwin_hall", {"low": 1.0, "high": 4.0}),
+            ("chi_square", {"df": 2.0}),
+            ("kde", {"samples": 50}),
+        ):
+            with pytest.raises(ValueError, match="needs granularity > 0"):
+                approximate_perfect_sum(
+                    [1.5, 2.25, 3.75], 4.0, ApproxConfig(method=method, relation="eq", **extra)
+                )
 
     def test_eq_on_atoms_needs_no_granularity(self):
         # every stratum of a constant real set or of n = 1 is an atom,
@@ -424,18 +477,44 @@ class TestReportSerialization:
         assert [r["k"] for r in rows] == [1, 2, 3, 4]
         assert sum(r["count"] for r in rows) == 2
 
-    def test_diagnostics_serialization(self):
+    def test_diagnostics_serialization(self, rng):
+        from perfectsum import berry_esseen_terms
+
+        keys = ["k", "p", "q", "b", "delta1", "delta2", "bound_over_c"]
         report = approximate_perfect_sum(
             [1, 2, 3, 4, 5], 7, ApproxConfig(relation="ge", diagnostics=True)
         )
         doc = report.to_json_dict()
-        assert len(doc["diagnostics"]["bound_over_c"]) == 5
+        assert list(doc["diagnostics"]) == keys
+        assert all(len(column) == 5 for column in doc["diagnostics"].values())
         # k = n entry is the infinite delta1 branch, serialized as a string
-        assert doc["diagnostics"]["bound_over_c"][-1] == "inf"
+        for key in ("delta1", "delta2", "bound_over_c"):
+            assert doc["diagnostics"][key][-1] == "inf"
+        assert doc["diagnostics"]["q"][-1] == 0.0
         json.dumps(doc)
 
+        # one columnar record, each entry within 4 ulp of the scalar terms
+        # (numpy's array powers may round differently from Python's pow)
+        values = rng.uniform(0, 1, 40).tolist()
+        for k_min, k_max in ((None, None), (7, 33), (35, 40)):
+            config = ApproxConfig(relation="ge", diagnostics=True, k_min=k_min, k_max=k_max)
+            report = approximate_perfect_sum(values, 20.0, config)
+            doc = json.loads(json.dumps(report.to_json_dict()))["diagnostics"]
+            assert list(doc) == keys
+            assert doc["k"] == report.ks.tolist()
+            assert all(len(column) == report.ks.size for column in doc.values())
+            for i, k in enumerate(report.ks.tolist()):
+                terms = berry_esseen_terms(values, k)
+                for key in keys[1:]:
+                    got, want = doc[key][i], getattr(terms, key)
+                    assert isinstance(want, float)
+                    if math.isinf(want):
+                        assert got == "inf" and k == 40, (key, k)
+                    else:
+                        assert abs(got - want) <= 4 * math.ulp(want), (key, k)
+
     def test_diagnostics_on_constant_set_aborts(self):
-        with pytest.raises(PipelineError, match="diagnostics"):
+        with pytest.raises(ValueError, match="bound undefined for this input: set variance"):
             approximate_perfect_sum(
                 [2.0, 2.0, 2.0], 4, ApproxConfig(relation="ge", diagnostics=True)
             )
