@@ -22,8 +22,12 @@ for n in (14, 18, 22, 26):
     sd = result.values(metric="sd_abs_rel_error", n=n)[0]
     print(f"{n:<4} {mean:21.2e} {sd:.2e}")
 
-out = Path(tempfile.mkdtemp(prefix="perfectsum_"))
-result.to_csv(out / "error_trend.csv")
-result.to_json(out / "error_trend.json")
-print(f"\nrows written to {out}/error_trend.csv and .json")
+# a throwaway directory: the demo removes what it writes
+with tempfile.TemporaryDirectory(prefix="perfectsum_") as tmp:
+    out = Path(tmp)
+    result.to_csv(out / "error_trend.csv")
+    result.to_json(out / "error_trend.json")
+    lines = (out / "error_trend.csv").read_text().splitlines()
+print(f"\n{len(lines) - 1} rows written as CSV and JSON; the CSV starts:")
+print("\n".join(lines[:3]))
 print("every row carries its seed; the metadata block echoes the full config")

@@ -15,12 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .exact import InfeasibleError, RELATIONS
 from .inputs import InputError, read_input
-from .kde import DEFAULT_KDE_SAMPLES
-from .pipeline import ApproxConfig, approximate_perfect_sum, exact_perfect_sum
+from .pipeline import (
+    METHODS,
+    ApproxConfig,
+    _config_from,
+    approximate_perfect_sum,
+    exact_perfect_sum,
+)
 from .simulation import (
     DEFAULT_REFERENCE_SAMPLES,
     SetSpec,
@@ -31,7 +37,21 @@ from .simulation import (
 
 __all__ = ["main"]
 
-_CLI_METHODS = ("normal", "irwin-hall", "chi-square", "kde")
+_CLI_METHODS = tuple(m.replace("_", "-") for m in METHODS)
+
+# approx's options, and the model options evaluate shares, are stored
+# under the ApproxConfig field names and default to the fields' defaults
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(ApproxConfig)}
+
+# (name, type, help) of the parameters of one stratum's model; evaluate
+# echoes them in each method spec, in this order
+_MODEL_OPTIONS = (
+    ("low", float, "irwin-hall lower bound"),
+    ("high", float, "irwin-hall upper bound"),
+    ("df", float, "chi-square degrees of freedom"),
+    ("samples", int, "KDE sample count per stratum"),
+    ("seed", int, "KDE master seed"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,10 +63,6 @@ class _Parser(argparse.ArgumentParser):
     def _fail(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         return 1
-
-
-def _method_name(cli_name: str) -> str:
-    return cli_name.replace("-", "_")
 
 
 def _granularity(text: str):
@@ -68,6 +84,11 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _add_model_options(parser) -> None:
+    for name, kind, text in _MODEL_OPTIONS:
+        parser.add_argument(f"--{name}", type=kind, default=_CONFIG_DEFAULTS[name], help=text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="perfectsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,23 +105,18 @@ def build_parser() -> _Parser:
     p_approx = sub.add_parser("approx", help="probabilistic approximation of the counts")
     p_approx.add_argument("input")
     p_approx.add_argument("--target", type=float, required=True)
-    p_approx.add_argument("--relation", choices=RELATIONS, default="ge")
-    p_approx.add_argument("--method", choices=_CLI_METHODS, default="normal")
-    p_approx.add_argument("--granularity", type=_granularity, default=None,
+    p_approx.add_argument("--relation", choices=RELATIONS)
+    p_approx.add_argument("--method", choices=_CLI_METHODS)
+    p_approx.add_argument("--granularity", type=_granularity,
                           help="'auto' (default) or the value spacing, e.g. 1 for integers")
-    p_approx.add_argument("--low", type=float, help="irwin-hall lower bound")
-    p_approx.add_argument("--high", type=float, help="irwin-hall upper bound")
-    p_approx.add_argument("--df", type=float, help="chi-square degrees of freedom")
-    p_approx.add_argument("--samples", type=int, default=DEFAULT_KDE_SAMPLES,
-                          help="KDE sample count per stratum")
-    p_approx.add_argument("--seed", type=int, default=0, help="KDE master seed")
-    p_approx.add_argument("--exact-small-k", type=int, default=0,
+    _add_model_options(p_approx)
+    p_approx.add_argument("--exact-small-k", type=int,
                           help="exact enumeration for strata k <= this bound")
-    p_approx.add_argument("--k-min", type=int, default=None)
-    p_approx.add_argument("--k-max", type=int, default=None)
+    p_approx.add_argument("--k-min", type=int)
+    p_approx.add_argument("--k-max", type=int)
     p_approx.add_argument("--diagnostics", action="store_true",
                           help="attach Berry-Esseen terms per k")
-    p_approx.set_defaults(func=_cmd_approx)
+    p_approx.set_defaults(func=_cmd_approx, **_CONFIG_DEFAULTS)
 
     p_eval = sub.add_parser("evaluate", help="JSD of approximations vs the reference, per k")
     p_eval.add_argument("input")
@@ -108,11 +124,7 @@ def build_parser() -> _Parser:
                         help="comma-separated subset sizes")
     p_eval.add_argument("--methods", default="normal",
                         help="comma-separated: normal,irwin-hall,chi-square,kde")
-    p_eval.add_argument("--low", type=float)
-    p_eval.add_argument("--high", type=float)
-    p_eval.add_argument("--df", type=float)
-    p_eval.add_argument("--samples", type=int, default=DEFAULT_KDE_SAMPLES)
-    p_eval.add_argument("--seed", type=int, default=0)
+    _add_model_options(p_eval)
     p_eval.add_argument("--granularity", type=_granularity, default=None)
     p_eval.add_argument("--bins", type=int, default=60)
     p_eval.add_argument("--ref-samples", type=int, default=DEFAULT_REFERENCE_SAMPLES)
@@ -142,20 +154,9 @@ def _cmd_exact(args) -> int:
 
 
 def _approx_config(args) -> ApproxConfig:
-    return ApproxConfig(
-        method=_method_name(args.method),
-        relation=args.relation,
-        granularity=args.granularity,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        exact_small_k=args.exact_small_k,
-        low=args.low,
-        high=args.high,
-        df=args.df,
-        samples=args.samples,
-        seed=args.seed,
-        diagnostics=args.diagnostics,
-    )
+    # the approx options' dests are the config's field names
+    options = {f.name: getattr(args, f.name) for f in fields(ApproxConfig)}
+    return ApproxConfig(**{**options, "method": args.method.replace("-", "_")})
 
 
 def _cmd_approx(args) -> int:
@@ -167,22 +168,14 @@ def _cmd_approx(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     values = read_input(args.input).values
+    model = {name: getattr(args, name) for name, _, _ in _MODEL_OPTIONS}
     methods = []
     for name in (tok.strip() for tok in args.methods.split(",")):
         if not name:
             continue
         if name not in _CLI_METHODS:
             raise InputError(f"unknown method {name!r}; options: {', '.join(_CLI_METHODS)}")
-        methods.append(
-            {
-                "method": _method_name(name),
-                "low": args.low,
-                "high": args.high,
-                "df": args.df,
-                "samples": args.samples,
-                "seed": args.seed,
-            }
-        )
+        methods.append({"method": name.replace("-", "_"), **model})
     result = divergence_experiment(
         values,
         args.k,
@@ -225,11 +218,10 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "error":
-        approx = config.get("config", {})
         result = error_experiment(
             _set_spec({"n": 1, **config["family"]}),
             config["n_values"],
-            ApproxConfig(**approx),
+            _config_from(config.get("config", {})),
             config["seeds"],
         )
     elif kind == "divergence":
@@ -263,13 +255,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"perfectsum: input error: {err}", file=sys.stderr)
-        return 1
     except InfeasibleError as err:
         print(f"perfectsum: infeasible: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError) as err:  # InputError included
         print(f"perfectsum: input error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # pragma: no cover - defensive

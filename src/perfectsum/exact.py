@@ -46,6 +46,11 @@ _INT64_SAFE_N = 62
 
 _DEFAULT_MAX_TABLE_CELLS = 50_000_000
 
+# exact_sum_pmf on real-valued sets: enumeration budget, and the spread
+# within which float sums count as one support point
+_PMF_MAX_SUBSETS = 20_000_000
+_PMF_MERGE_TOLERANCE = 1e-9
+
 
 class InfeasibleError(RuntimeError):
     """Raised when an exact computation would exceed its size/memory budget."""
@@ -367,21 +372,15 @@ def _sum_table(
     return dp
 
 
-def exact_sum_pmf(
-    values,
-    k: int,
-    *,
-    max_subsets: int = 20_000_000,
-    merge_tolerance: float = 1e-9,
-) -> ExactSumPmf:
+def exact_sum_pmf(values, k: int) -> ExactSumPmf:
     """Exact pmf of the sum of a uniform random size-k subset.
 
     Integer-valued sets go through the DP table, which is exact and fast
     regardless of C(n, k). It builds only the sizes up to min(k, n - k):
     when k > n/2 a k-subset with sum s leaves an (n - k)-subset with sum
     total - s, so the pmf is row n - k read backwards. Real-valued sets
-    enumerate all C(n, k) subsets (capped at ``max_subsets``) and merge
-    sums that agree within ``merge_tolerance`` of the group's first
+    enumerate all C(n, k) subsets (at most ``_PMF_MAX_SUBSETS``) and merge
+    sums that agree within ``_PMF_MERGE_TOLERANCE`` of the group's first
     representative, so float associativity noise cannot split a support
     point.
     """
@@ -408,15 +407,15 @@ def exact_sum_pmf(
         mass = np.array([int(row[i]) / total_subsets for i in idx], dtype=np.float64)
         return ExactSumPmf(k=k, support=support, mass=mass)
 
-    if total_subsets > max_subsets:
+    if total_subsets > _PMF_MAX_SUBSETS:
         raise InfeasibleError(
-            f"C({n},{k}) = {total_subsets} subsets exceeds the budget of {max_subsets}"
+            f"C({n},{k}) = {total_subsets} subsets exceeds the budget of {_PMF_MAX_SUBSETS}"
         )
 
     sums = np.sort(np.concatenate(list(_sums_of_size(arr, k))))
     assert sums.size == total_subsets
 
-    support, counts = _merge_close(sums, merge_tolerance)
+    support, counts = _merge_close(sums, _PMF_MERGE_TOLERANCE)
     mass = counts.astype(np.float64) / total_subsets
     return ExactSumPmf(k=k, support=support, mass=mass)
 

@@ -11,6 +11,8 @@ from typing import Optional
 
 import numpy as np
 
+from .moments import as_finite_array
+
 __all__ = ["InputDocument", "InputError", "read_input"]
 
 
@@ -54,13 +56,10 @@ def read_input(path) -> InputDocument:
 
 
 def _finite(values, where: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise InputError(f"{where}: empty set")
-    if not np.isfinite(arr).all():
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise InputError(f"{where}: non-finite value at position {bad + 1}")
-    return arr
+    try:
+        return as_finite_array(values)
+    except ValueError as err:
+        raise InputError(f"{where}: {err}") from err
 
 
 def _parse_json(text: str, path) -> InputDocument:

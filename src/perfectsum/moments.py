@@ -45,12 +45,17 @@ class SetStatistics:
 
 
 def as_finite_array(values) -> np.ndarray:
-    """``values`` as a flat float64 array; raises ValueError if empty or non-finite."""
+    """``values`` as a flat float64 array.
+
+    Raises ValueError if empty or non-finite; the message names the
+    1-based position of the first non-finite value.
+    """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("empty set")
     if not np.isfinite(arr).all():
-        raise ValueError("non-finite element in input set")
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise ValueError(f"non-finite value at position {bad + 1}")
     return arr
 
 

@@ -12,7 +12,7 @@ for the whole run; no stratum is silently left out of the total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import compress
 from typing import Iterator, Optional
 
@@ -63,19 +63,21 @@ class ApproxConfig:
     sets. ``exact_small_k`` switches strata k <= that bound to exact
     enumeration when C(n, k) stays within the stratum budget; the normal
     family is weakest at small k, where few large strata dominate.
+    Irwin-Hall needs ``low`` and ``high``, chi-square ``df``. The field
+    order is the key order of the report's ``meta`` echo.
     """
 
-    method: str = "normal"
     relation: str = "ge"
+    method: str = "normal"
     granularity: Optional[float] = None
     k_min: Optional[int] = None
     k_max: Optional[int] = None
     exact_small_k: int = 0
+    samples: int = DEFAULT_KDE_SAMPLES
+    seed: int = 0
     low: Optional[float] = None
     high: Optional[float] = None
     df: Optional[float] = None
-    samples: int = DEFAULT_KDE_SAMPLES
-    seed: int = 0
     diagnostics: bool = False
 
     def __post_init__(self):
@@ -85,6 +87,24 @@ class ApproxConfig:
             raise ValueError(f"relation must be one of {exact_mod.RELATIONS}")
         if self.exact_small_k < 0:
             raise ValueError("exact_small_k must be >= 0")
+        if self.method == "irwin_hall" and (self.low is None or self.high is None):
+            raise ValueError("irwin_hall method needs low and high bounds")
+        if self.method == "chi_square" and self.df is None:
+            raise ValueError("chi_square method needs df")
+
+
+def _config_from(doc: dict, **defaults) -> ApproxConfig:
+    """``defaults`` updated by ``doc``, as a config; a key that is not a field raises ValueError."""
+    names = [f.name for f in fields(ApproxConfig)]
+    unknown = [key for key in doc if key not in names]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; options: {', '.join(names)}")
+    return ApproxConfig(**{**defaults, **doc})
+
+
+def _config_echo(config: ApproxConfig) -> dict:
+    # every field but the report-only diagnostics switch
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "diagnostics"}
 
 
 @dataclass(eq=False)
@@ -196,12 +216,8 @@ def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
     if config.method == "normal":
         return normal_sum_approx(stats, k)
     if config.method == "irwin_hall":
-        if config.low is None or config.high is None:
-            raise ValueError("irwin_hall method needs low and high bounds")
         return irwin_hall_sum(k, config.low, config.high)
     if config.method == "chi_square":
-        if config.df is None:
-            raise ValueError("chi_square method needs df")
         return chi_square_sum(k, config.df)
     # kde for one stratum alone (the divergence experiment): a per-k seed
     # derived from (master seed, k), so each stratum's sample is the same
@@ -313,18 +329,10 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         "command": "approx",
         "n": n,
         "target": float(target),
-        "relation": config.relation,
-        "method": config.method,
-        "granularity": g,
-        "k_min": k_min,
-        "k_max": k_max,
-        "exact_small_k": config.exact_small_k,
-        "samples": config.samples if config.method == "kde" else None,
-        "seed": config.seed if config.method == "kde" else None,
-        "low": config.low,
-        "high": config.high,
-        "df": config.df,
+        **_config_echo(replace(config, granularity=g, k_min=k_min, k_max=k_max)),
     }
+    if config.method != "kde":
+        meta.update(samples=None, seed=None)
     return ApproxReport(
         ks=ks,
         probabilities=probs,
@@ -343,13 +351,13 @@ def exact_perfect_sum(
     tolerance: float = 0.0,
     *,
     engine: str = "auto",
-    cap: int = exact_mod.DEFAULT_ENUMERATION_CAP,
 ) -> ApproxReport:
     """Ground-truth counts in the same report shape as the approximation.
 
-    ``engine`` picks the oracle: ``enumerate`` (any values, n capped),
-    ``dp`` (integer values, bounded sum range), or ``auto`` (dp when it
-    applies, else enumeration). The probability column is
+    ``engine`` picks the oracle: ``enumerate`` (any values, n capped at
+    ``exact.DEFAULT_ENUMERATION_CAP``), ``dp`` (integer values, bounded
+    sum range, exact sums only, so ``tolerance`` must be 0), or ``auto``
+    (dp when it applies, else enumeration). The probability column is
     count / C(n, k).
 
     Raises
@@ -357,9 +365,15 @@ def exact_perfect_sum(
     InfeasibleError
         When the instance exceeds the chosen engine's budget; the
         approximate mode has no such cap.
+    ValueError
+        On a negative tolerance, or a nonzero one with the dp engine.
     """
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"engine must be auto, enumerate or dp, got {engine!r}")
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if engine == "dp" and tolerance != 0.0:
+        raise ValueError(f"the dp engine counts exact sums; tolerance must be 0, got {tolerance}")
     arr = as_finite_array(values)
     n = arr.size
 
@@ -371,7 +385,7 @@ def exact_perfect_sum(
     if chosen == "dp":
         result = exact_mod.dp_counts(arr, target, relation)
     else:
-        result = exact_mod.enumerate_counts(arr, target, relation, tolerance, cap=cap)
+        result = exact_mod.enumerate_counts(arr, target, relation, tolerance)
 
     ks = np.arange(1, n + 1, dtype=np.int64)
     counts = [result.counts[k] for k in range(1, n + 1)]

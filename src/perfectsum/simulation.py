@@ -10,18 +10,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .evaluation import DiscretePmf, discretize, js_divergence
 from .exact import InfeasibleError, binomial, exact_sum_pmf, DEFAULT_ENUMERATION_CAP
-from .kde import DEFAULT_KDE_SAMPLES, sample_subset_sums
+from .kde import sample_subset_sums
 from .moments import set_statistics
 from .pipeline import (
     ApproxConfig,
     _build_distribution,
+    _config_echo,
+    _config_from,
     approximate_perfect_sum,
     auto_granularity,
     exact_perfect_sum,
@@ -155,8 +157,6 @@ def error_experiment(
     n_values: Sequence[int],
     config: ApproxConfig,
     seeds: Sequence[int],
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ExperimentResult:
     """Absolute relative error of the approximate total versus ground truth.
 
@@ -164,9 +164,10 @@ def error_experiment(
     half its total sum (rounded for integer sets), and
     ``|approx - exact| / max(exact, 1)`` is recorded. Per-n mean and
     standard deviation rows accompany the points. Fails up front if any
-    n exceeds the exact-oracle cap.
+    n exceeds the exact-oracle cap, ``exact.DEFAULT_ENUMERATION_CAP``.
     """
     n_values = list(n_values)
+    cap = DEFAULT_ENUMERATION_CAP
     for n in n_values:
         if n > cap:
             raise InfeasibleError(
@@ -179,7 +180,7 @@ def error_experiment(
             spec = replace(family, n=n, seed=seed)
             values = generate_set(spec)
             target = _half_total_target(values)
-            exact_total = exact_perfect_sum(values, target, config.relation, cap=cap).total
+            exact_total = exact_perfect_sum(values, target, config.relation).total
             approx_total = approximate_perfect_sum(values, target, config).total
             err = abs(approx_total - exact_total) / max(exact_total, 1)
             errors.append(err)
@@ -208,11 +209,6 @@ def error_experiment(
     return ExperimentResult(rows=rows, metadata=metadata)
 
 
-def _config_echo(config: ApproxConfig) -> dict:
-    # every field but the report-only diagnostics switch
-    return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "diagnostics"}
-
-
 def _bin_pmf(sums: np.ndarray, weights: np.ndarray, g: float) -> DiscretePmf:
     idx = np.floor(sums / g + 0.5).astype(np.int64)
     uniq, inverse = np.unique(idx, return_inverse=True)
@@ -222,7 +218,7 @@ def _bin_pmf(sums: np.ndarray, weights: np.ndarray, g: float) -> DiscretePmf:
 
 
 def _raw_reference(
-    arr: np.ndarray, k: int, seed: int, ref_samples: int, max_exact_subsets: int
+    arr: np.ndarray, k: int, seed: int, ref_samples: int
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """(points, weights, kind) of the reference size-k sum distribution.
 
@@ -233,7 +229,7 @@ def _raw_reference(
     """
     n = arr.size
     integral = bool(np.array_equal(arr, np.rint(arr)))
-    if integral or binomial(n, k) <= max_exact_subsets:
+    if integral or binomial(n, k) <= MAX_EXACT_REFERENCE_SUBSETS:
         pmf = exact_sum_pmf(arr, k)
         return pmf.support, pmf.mass, "exact"
     sums = sample_subset_sums(arr, k, ref_samples, seed)
@@ -241,9 +237,10 @@ def _raw_reference(
 
 
 def _method_spec(method) -> dict:
-    if isinstance(method, str):
-        return {"method": method}
-    return dict(method)
+    spec = {"method": method} if isinstance(method, str) else dict(method)
+    if "method" not in spec:
+        raise ValueError(f"method spec {spec} has no 'method' key")
+    return spec
 
 
 def _approx_grid(ref: DiscretePmf, dist, g: float) -> np.ndarray:
@@ -276,14 +273,16 @@ def divergence_experiment(
     bins: int = 60,
     seed: int = 0,
     ref_samples: int = DEFAULT_REFERENCE_SAMPLES,
-    max_exact_subsets: int = MAX_EXACT_REFERENCE_SUBSETS,
 ) -> ExperimentResult:
     """Jensen-Shannon divergence of each method against the reference, per k.
 
     ``granularity=None`` resolves per set: the sum-lattice gcd for
     integer-valued sets, else each k's reference range divided into
-    ``bins`` windows. Methods are names or dicts with family parameters,
-    e.g. ``{"method": "chi_square", "df": 3}``.
+    ``bins`` windows. Methods are names or dicts of ``ApproxConfig``
+    fields, e.g. ``{"method": "chi_square", "df": 3}``; the experiment
+    ``seed`` is the default of each method's ``seed``. A key that is not
+    a field, or a family without its parameters, raises ValueError
+    before any reference is built.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
@@ -293,15 +292,14 @@ def divergence_experiment(
         raise ValueError(f"infeasible subset sizes for n={n}: {bad}")
 
     specs = [_method_spec(m) for m in methods]
+    configs = [_config_from(spec, seed=seed) for spec in specs]
     rows = []
     grans: dict[str, float] = {}
     ref_kinds: dict[str, str] = {}
     base_g = auto_granularity(arr) if granularity is None else float(granularity)
 
     for k in k_values:
-        points, weights, kind = _raw_reference(
-            arr, k, per_k_seed(seed, k), ref_samples, max_exact_subsets
-        )
+        points, weights, kind = _raw_reference(arr, k, per_k_seed(seed, k), ref_samples)
         if base_g > 0:
             g = base_g
         else:
@@ -309,20 +307,12 @@ def divergence_experiment(
         ref = _bin_pmf(points, weights, g)
         grans[str(k)] = g
         ref_kinds[str(k)] = kind
-        for spec in specs:
-            config = ApproxConfig(
-                method=spec["method"],
-                low=spec.get("low"),
-                high=spec.get("high"),
-                df=spec.get("df"),
-                samples=spec.get("samples", DEFAULT_KDE_SAMPLES),
-                seed=spec.get("seed", seed),
-            )
+        for config in configs:
             dist = _build_distribution(arr, stats, k, config)
             grid = _approx_grid(ref, dist, g)
             approx_pmf = discretize(dist, grid, g)
             rows.append(
-                {"n": n, "k": int(k), "method": spec["method"], "metric": "jsd",
+                {"n": n, "k": int(k), "method": config.method, "metric": "jsd",
                  "value": js_divergence(ref, approx_pmf), "seed": seed}
             )
 
@@ -333,7 +323,7 @@ def divergence_experiment(
         "methods": specs,
         "granularity": grans,
         "reference": {"kind": ref_kinds, "samples": ref_samples,
-                      "max_exact_subsets": max_exact_subsets},
+                      "max_exact_subsets": MAX_EXACT_REFERENCE_SUBSETS},
         "seed": seed,
         "bins": bins,
     }

@@ -75,6 +75,15 @@ class TestExactCommand:
         assert code == 1
         assert "integer" in err
 
+    def test_dp_engine_rejects_tolerance(self, capsys, vals4):
+        code, out, err = run_cli(
+            capsys, "exact", vals4, "--target", "5", "--relation", "eq",
+            "--engine", "dp", "--tolerance", "0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be 0" in err
+
 
 class TestApproxCommand:
     def test_normal_close_to_exact(self, capsys, vals4):
@@ -198,6 +207,21 @@ class TestSimulateCommand:
                 ((out_dir / "div.csv").read_bytes(), (out_dir / "div.json").read_bytes())
             )
         assert blobs[0] == blobs[1]
+
+    def test_unknown_config_key_is_input_error(self, capsys, tmp_path):
+        config = {
+            "experiment": "error",
+            "family": {"family": "discrete_uniform", "low": 0, "high": 20},
+            "n_values": [6],
+            "seeds": [0],
+            "config": {"methd": "normal"},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "unknown config key 'methd'" in err
 
     def test_bad_experiment_kind(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -47,6 +47,8 @@ class TestSetStatistics:
             set_statistics([1.0, math.nan])
         with pytest.raises(ValueError, match="non-finite"):
             set_statistics([1.0, math.inf])
+        with pytest.raises(ValueError, match="non-finite value at position 3"):
+            set_statistics([1.0, 2.0, -math.inf, math.nan])
 
 
 class TestMembershipProbability:

@@ -429,8 +429,35 @@ class TestExactPerfectSum:
         assert report.meta["method"] == "enumerate"
         assert report.total == sum(brute_counts([1.5, 2.5, 3.0], 4.0, "ge").values())
 
+    def test_tolerance_only_where_it_is_honoured(self):
+        # the three 2-subsets sum to 6, within 0.5 of 6.2; the enumerator
+        # counts them, the dp counts exact sums only and refuses
+        assert exact_perfect_sum([3, 3, 3], 6.2, "eq", tolerance=0.5, engine="enumerate").total == 3
+        assert exact_perfect_sum([3, 3, 3], 6.2, "eq", tolerance=0.5).total == 3
+        with pytest.raises(ValueError, match="tolerance must be 0"):
+            exact_perfect_sum([3, 3, 3], 6.2, "eq", tolerance=0.5, engine="dp")
+        for engine in ("auto", "enumerate", "dp"):
+            with pytest.raises(ValueError, match="tolerance must be >= 0"):
+                exact_perfect_sum([3, 3, 3], 6.0, "eq", tolerance=-0.5, engine=engine)
+
 
 class TestReportSerialization:
+    def test_meta_echoes_the_config(self):
+        keys = ["command", "n", "target", "relation", "method", "granularity", "k_min",
+                "k_max", "exact_small_k", "samples", "seed", "low", "high", "df"]
+        normal = approximate_perfect_sum(
+            [1, 2, 3, 4], 5, ApproxConfig(relation="le", samples=7, seed=3, k_min=2)
+        ).meta
+        assert list(normal) == keys
+        assert normal["granularity"] == 1.0
+        assert (normal["k_min"], normal["k_max"]) == (2, 4)
+        assert normal["samples"] is None and normal["seed"] is None
+        kde = approximate_perfect_sum(
+            [1, 2, 3, 4], 5, ApproxConfig(method="kde", samples=7, seed=3)
+        ).meta
+        assert list(kde) == keys
+        assert (kde["samples"], kde["seed"]) == (7, 3)
+
     def test_counts_as_decimal_strings(self):
         report = exact_perfect_sum([1, 2, 3, 4], 5, "ge")
         doc = report.to_json_dict()

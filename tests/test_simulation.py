@@ -14,6 +14,7 @@ from perfectsum import (
     error_experiment,
     generate_set,
 )
+from perfectsum import simulation
 
 
 class TestGenerateSet:
@@ -107,6 +108,18 @@ class TestDivergenceExperiment:
         )
         assert {r["method"] for r in result.rows} == {"chi_square", "normal"}
         assert result.metadata["reference"]["kind"]["2"] == "exact"
+
+    def test_unknown_spec_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key 'dff'"):
+            divergence_experiment([1, 2, 3], [2], [{"method": "chi_square", "dff": 3}])
+
+    def test_spec_without_family_params_fails_before_any_reference(self, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference pmf built for an invalid spec")
+
+        monkeypatch.setattr(simulation, "exact_sum_pmf", no_reference)
+        with pytest.raises(ValueError, match="irwin_hall method needs low and high bounds"):
+            divergence_experiment([1, 2, 3], [1, 2], ["normal", {"method": "irwin_hall"}])
 
     def test_sampled_reference_for_large_real_sets(self):
         values = generate_set(SetSpec(family="chi_square", n=3000, seed=2, df=3))
