@@ -4,6 +4,8 @@ The workhorse is the normal family with the finite-population variance
 correction. The Irwin-Hall and chi-square families model the sum of k
 i.i.d. draws instead (no finite-population correction): they are meant
 for sets that are themselves i.i.d. samples of a known continuous law.
+Every family is a frozen dataclass with a vectorized ``cdf``, a ``mean``,
+a ``variance`` (zero marks an atom at ``mean``) and a ``kind`` tag.
 A Berry-Esseen style diagnostic quantifies (up to an absolute constant)
 how far the standardized subset sum can be from the standard normal.
 """
@@ -19,7 +21,6 @@ from scipy.special import gammainc, ndtr
 from .moments import SetStatistics, _check_k, set_statistics, subset_sum_mean, subset_sum_variance
 
 __all__ = [
-    "SumDistribution",
     "NormalSum",
     "IrwinHallSum",
     "ChiSquareSum",
@@ -30,7 +31,6 @@ __all__ = [
     "chi_square_sum",
     "berry_esseen_terms",
     "probability_query",
-    "IRWIN_HALL_EXACT_MAX_K",
 ]
 
 # The exact Irwin-Hall CDF is an alternating binomial sum; beyond ~40 terms
@@ -39,30 +39,8 @@ __all__ = [
 IRWIN_HALL_EXACT_MAX_K = 40
 
 
-class SumDistribution:
-    """A unified view of an approximating distribution for a subset sum.
-
-    Concrete kinds expose ``cdf`` (vectorized), ``mass`` over an interval,
-    plus ``mean`` and ``variance``. A zero ``variance`` marks an atom at
-    ``mean``.
-    """
-
-    kind: str
-    mean: float
-    variance: float
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def mass(self, a: float, b: float) -> float:
-        """Probability mass on the interval (a, b], nonnegative for a <= b."""
-        if a > b:
-            raise ValueError(f"empty interval ({a}, {b}]")
-        return max(float(self.cdf(b) - self.cdf(a)), 0.0)
-
-
 @dataclass(frozen=True)
-class NormalSum(SumDistribution):
+class NormalSum:
     """Normal law; ``mean`` and ``variance`` are floats or equal-shape arrays."""
 
     mean: float
@@ -78,18 +56,18 @@ class NormalSum(SumDistribution):
 
 
 @dataclass(frozen=True)
-class DegenerateSum(SumDistribution):
+class DegenerateSum:
     """Point mass; the k = n subset sum, or any zero-variance case."""
 
     atom: float
     kind: str = "degenerate"
 
     @property
-    def mean(self) -> float:  # type: ignore[override]
+    def mean(self) -> float:
         return self.atom
 
     @property
-    def variance(self) -> float:  # type: ignore[override]
+    def variance(self) -> float:
         return 0.0
 
     def cdf(self, x):
@@ -97,7 +75,7 @@ class DegenerateSum(SumDistribution):
 
 
 @dataclass(frozen=True)
-class IrwinHallSum(SumDistribution):
+class IrwinHallSum:
     """Sum of k i.i.d. uniforms on [low, high] (rescaled Irwin-Hall).
 
     ``k`` is an int or an array of sizes. Sizes above
@@ -111,11 +89,11 @@ class IrwinHallSum(SumDistribution):
     kind: str = "irwin_hall"
 
     @property
-    def mean(self):  # type: ignore[override]
+    def mean(self):
         return self.k * (self.low + self.high) / 2.0
 
     @property
-    def variance(self):  # type: ignore[override]
+    def variance(self):
         return self.k * (self.high - self.low) ** 2 / 12.0
 
     def cdf(self, x):
@@ -144,7 +122,7 @@ def _irwin_hall_cdf_std(u: float, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class ChiSquareSum(SumDistribution):
+class ChiSquareSum:
     """Sum of k i.i.d. chi-square(df) variables: chi-square with k*df dof.
 
     ``k`` is an int or an array of sizes; ``cdf`` is ``gammainc`` elementwise.
@@ -159,11 +137,11 @@ class ChiSquareSum(SumDistribution):
         return self.k * self.df
 
     @property
-    def mean(self):  # type: ignore[override]
+    def mean(self):
         return self.dof
 
     @property
-    def variance(self):  # type: ignore[override]
+    def variance(self):
         return 2.0 * self.dof
 
     def cdf(self, x):
@@ -171,7 +149,7 @@ class ChiSquareSum(SumDistribution):
         return gammainc(self.dof / 2.0, np.maximum(x, 0.0) / 2.0)
 
 
-def normal_sum_approx(stats: SetStatistics, k) -> SumDistribution:
+def normal_sum_approx(stats: SetStatistics, k) -> NormalSum | DegenerateSum:
     """Normal approximation of the size-k subset sum with corrected variance.
 
     Mean and variance come from the exact subset-sum moment formulas; a

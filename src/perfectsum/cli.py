@@ -21,6 +21,7 @@ from pathlib import Path
 from .exact import InfeasibleError, RELATIONS
 from .inputs import InputError, read_input
 from .pipeline import (
+    _MODEL_FIELDS,
     METHODS,
     ApproxConfig,
     _config_from,
@@ -43,15 +44,16 @@ _CLI_METHODS = tuple(m.replace("_", "-") for m in METHODS)
 # under the ApproxConfig field names and default to the fields' defaults
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(ApproxConfig)}
 
-# (name, type, help) of the parameters of one stratum's model; evaluate
-# echoes them in each method spec, in this order
-_MODEL_OPTIONS = (
-    ("low", float, "irwin-hall lower bound"),
-    ("high", float, "irwin-hall upper bound"),
-    ("df", float, "chi-square degrees of freedom"),
-    ("samples", int, "KDE sample count per stratum"),
-    ("seed", int, "KDE master seed"),
-)
+# type and help of each parameter of one stratum's model; the options are
+# added, and evaluate echoes them in each method spec, in the order of
+# pipeline._MODEL_FIELDS
+_MODEL_OPTIONS = {
+    "low": (float, "irwin-hall lower bound"),
+    "high": (float, "irwin-hall upper bound"),
+    "df": (float, "chi-square degrees of freedom"),
+    "samples": (int, "KDE sample count per stratum"),
+    "seed": (int, "KDE master seed"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +87,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_model_options(parser) -> None:
-    for name, kind, text in _MODEL_OPTIONS:
+    for name in _MODEL_FIELDS:
+        kind, text = _MODEL_OPTIONS[name]
         parser.add_argument(f"--{name}", type=kind, default=_CONFIG_DEFAULTS[name], help=text)
 
 
@@ -145,7 +148,7 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_exact(args) -> int:
-    values = read_input(args.input).values
+    values = read_input(args.input)
     report = exact_perfect_sum(
         values, args.target, args.relation, args.tolerance, engine=args.engine
     )
@@ -160,15 +163,15 @@ def _approx_config(args) -> ApproxConfig:
 
 
 def _cmd_approx(args) -> int:
-    values = read_input(args.input).values
+    values = read_input(args.input)
     report = approximate_perfect_sum(values, args.target, _approx_config(args))
     _emit(report.to_json_dict())
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    values = read_input(args.input).values
-    model = {name: getattr(args, name) for name, _, _ in _MODEL_OPTIONS}
+    values = read_input(args.input)
+    model = {name: getattr(args, name) for name in _MODEL_FIELDS}
     methods = []
     for name in (tok.strip() for tok in args.methods.split(",")):
         if not name:

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import as_finite_array
 
 __all__ = [
-    "RELATIONS",
-    "DEFAULT_ENUMERATION_CAP",
     "InfeasibleError",
     "CountBySize",
     "ExactSumPmf",
@@ -61,11 +59,10 @@ class CountBySize:
     """Exact subset counts indexed by subset size k = 1..n."""
 
     counts: dict[int, int]
-    total: int = field(default=0)
 
-    @classmethod
-    def from_counts(cls, counts: dict[int, int]) -> "CountBySize":
-        return cls(counts=dict(counts), total=sum(counts.values()))
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def __getitem__(self, k: int) -> int:
         return self.counts[k]
@@ -170,7 +167,7 @@ def enumerate_counts(
             mask = total <= target
         counts += np.bincount(sizes_b[mask] + z, minlength=n + 1)
 
-    return CountBySize.from_counts({k: int(counts[k]) for k in range(1, n + 1)})
+    return CountBySize({k: int(counts[k]) for k in range(1, n + 1)})
 
 
 # Rows per batch of index combinations in ``_sums_of_size``.
@@ -241,14 +238,19 @@ def _extend(prefixes: np.ndarray, n: int, k: int) -> np.ndarray:
     return np.column_stack([rows, offsets + np.repeat(last + 1, counts)])
 
 
-def _as_int_array(values) -> np.ndarray:
-    arr = as_finite_array(values)
+def _integer_valued(arr: np.ndarray) -> np.ndarray | None:
+    """The int64 form of a float array whose entries are all integers, else None."""
     rounded = np.rint(arr)
-    if not np.array_equal(arr, rounded):
+    return rounded.astype(np.int64) if np.array_equal(arr, rounded) else None
+
+
+def _as_int_array(values) -> np.ndarray:
+    ints = _integer_valued(as_finite_array(values))
+    if ints is None:
         raise ValueError(
             "dp_counts requires an integer-valued set; pre-scale rationals first"
         )
-    return rounded.astype(np.int64)
+    return ints
 
 
 def _table(shape: tuple[int, int], n: int) -> np.ndarray:
@@ -298,7 +300,7 @@ def dp_counts(
     cumulative = relation != "eq"
     if relation == "eq":
         if target != int(target):
-            return CountBySize.from_counts(dict.fromkeys(range(1, n + 1), 0))
+            return CountBySize(dict.fromkeys(range(1, n + 1), 0))
         bound = int(target)
     elif relation == "le":
         bound = math.floor(target)
@@ -327,7 +329,7 @@ def dp_counts(
         per_k = {k: math.comb(n, k) - rows[k] for k in range(1, n + 1)}
     else:
         per_k = {k: rows[k] for k in range(1, n + 1)}
-    return CountBySize.from_counts(per_k)
+    return CountBySize(per_k)
 
 
 def _check_cells(rows: int, width: int, max_cells: int) -> None:
@@ -391,9 +393,8 @@ def exact_sum_pmf(values, k: int) -> ExactSumPmf:
 
     total_subsets = math.comb(n, k)
 
-    rounded = np.rint(arr)
-    if np.array_equal(arr, rounded):
-        ints = rounded.astype(np.int64)
+    ints = _integer_valued(arr)
+    if ints is not None:
         lo = int(ints[ints < 0].sum())
         hi = int(ints[ints > 0].sum())
         r = min(k, n - k)

@@ -5,37 +5,28 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .moments import as_finite_array
 
-__all__ = ["InputDocument", "InputError", "read_input"]
+__all__ = ["InputError", "read_input"]
 
 
 class InputError(ValueError):
     """Malformed or empty input; maps to exit code 1 in the CLI."""
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    values: np.ndarray
-    name: Optional[str] = None
-    family: Optional[str] = None
-
-
-def read_input(path) -> InputDocument:
-    """Parse a value set from ``path``.
+def read_input(path) -> np.ndarray:
+    """Parse a value set from ``path`` into a flat float64 array.
 
     Accepted formats, detected from extension and content:
 
     * plain text: one value per line, blank lines ignored
     * CSV: a single column, optional non-numeric header row
-    * JSON: an array of numbers, or an object with a ``values`` array
-      and optional ``name``/``family`` metadata
+    * JSON: an array of numbers, or an object with a ``values`` array;
+      its other keys (such as ``name`` or ``family``) are ignored
     """
     p = Path(path)
     try:
@@ -62,15 +53,12 @@ def _finite(values, where: str) -> np.ndarray:
         raise InputError(f"{where}: {err}") from err
 
 
-def _parse_json(text: str, path) -> InputDocument:
+def _parse_json(text: str, path) -> np.ndarray:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err
-    name = family = None
     if isinstance(doc, dict):
-        name = doc.get("name")
-        family = doc.get("family")
         doc = doc.get("values")
     if not isinstance(doc, list):
         raise InputError(f"{path}: JSON input must be an array or an object with 'values'")
@@ -78,10 +66,10 @@ def _parse_json(text: str, path) -> InputDocument:
         values = [float(x) for x in doc]
     except (TypeError, ValueError) as err:
         raise InputError(f"{path}: non-numeric JSON value: {err}") from err
-    return InputDocument(values=_finite(values, str(path)), name=name, family=family)
+    return _finite(values, str(path))
 
 
-def _parse_csv(text: str, path) -> InputDocument:
+def _parse_csv(text: str, path) -> np.ndarray:
     values = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
         cells = [c.strip() for c in row if c.strip()]
@@ -95,10 +83,10 @@ def _parse_csv(text: str, path) -> InputDocument:
             if lineno == 1:
                 continue  # header row
             raise InputError(f"{path}: line {lineno}: not a number: {cells[0]!r}") from None
-    return InputDocument(values=_finite(values, str(path)))
+    return _finite(values, str(path))
 
 
-def _parse_text(text: str, path) -> InputDocument:
+def _parse_text(text: str, path) -> np.ndarray:
     try:
         # fast path: numpy's C tokenizer
         values = np.loadtxt(io.StringIO(text), dtype=np.float64).reshape(-1)
@@ -113,4 +101,4 @@ def _parse_text(text: str, path) -> InputDocument:
                 values.append(float(token))
             except ValueError:
                 raise InputError(f"{path}: line {lineno}: not a number: {token!r}") from None
-    return InputDocument(values=_finite(values, str(path)))
+    return _finite(values, str(path))

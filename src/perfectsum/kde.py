@@ -41,12 +41,10 @@ from .moments import as_finite_array
 __all__ = [
     "KdeModel",
     "sample_subset_sums",
-    "shared_subset_sums",
     "fit_bandwidth",
     "fit_kde",
     "kde_density",
     "kde_cdf",
-    "DEFAULT_KDE_SAMPLES",
 ]
 
 DEFAULT_KDE_SAMPLES = 10_000
@@ -201,8 +199,6 @@ class KdeModel:
 
     sums: np.ndarray
     bandwidth: float
-    k: int
-    seed: int
     kind: str = "kde"
     _sorted: np.ndarray = field(init=False, repr=False)
     _prefix: np.ndarray = field(init=False, repr=False)
@@ -227,7 +223,7 @@ class KdeModel:
 def fit_kde(values, k: int, m: int = DEFAULT_KDE_SAMPLES, seed: int = 0) -> KdeModel:
     """Sample m subset sums and fit the tophat model with the quantile bandwidth."""
     sums = sample_subset_sums(values, k, m, seed)
-    return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=seed)
+    return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
 
 
 def kde_density(model: KdeModel, t):

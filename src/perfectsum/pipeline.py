@@ -45,10 +45,13 @@ __all__ = [
     "approximate_perfect_sum",
     "exact_perfect_sum",
     "auto_granularity",
-    "METHODS",
 ]
 
 METHODS = ("normal", "irwin_hall", "chi_square", "kde")
+
+# The parameters of one stratum's model: what a divergence method spec
+# may set besides its method, and the CLI's model options.
+_MODEL_FIELDS = ("low", "high", "df", "samples", "seed")
 
 # Hybrid mode never enumerates a stratum larger than this.
 EXACT_STRATUM_BUDGET = 1_000_000
@@ -63,8 +66,9 @@ class ApproxConfig:
     sets. ``exact_small_k`` switches strata k <= that bound to exact
     enumeration when C(n, k) stays within the stratum budget; the normal
     family is weakest at small k, where few large strata dominate.
-    Irwin-Hall needs ``low`` and ``high``, chi-square ``df``. The field
-    order is the key order of the report's ``meta`` echo.
+    Irwin-Hall needs ``low`` and ``high``, chi-square ``df``, KDE at least
+    2 ``samples``. The field order is the key order of the report's
+    ``meta`` echo.
     """
 
     relation: str = "ge"
@@ -91,11 +95,16 @@ class ApproxConfig:
             raise ValueError("irwin_hall method needs low and high bounds")
         if self.method == "chi_square" and self.df is None:
             raise ValueError("chi_square method needs df")
+        if self.method == "kde" and self.samples < 2:
+            raise ValueError(f"need at least 2 samples for a bandwidth, got m={self.samples}")
 
 
-def _config_from(doc: dict, **defaults) -> ApproxConfig:
-    """``defaults`` updated by ``doc``, as a config; a key that is not a field raises ValueError."""
-    names = [f.name for f in fields(ApproxConfig)]
+def _config_from(doc: dict, names=None, **defaults) -> ApproxConfig:
+    """``defaults`` updated by ``doc``, as a config.
+
+    A key of ``doc`` outside ``names`` (default: every field) raises ValueError.
+    """
+    names = names or [f.name for f in fields(ApproxConfig)]
     unknown = [key for key in doc if key not in names]
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}; options: {', '.join(names)}")
@@ -185,10 +194,9 @@ def auto_granularity(values) -> float:
     A constant integer set has no spacing information and falls back to 1.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    rounded = np.rint(arr)
-    if arr.size == 0 or not np.array_equal(arr, rounded):
+    ints = exact_mod._integer_valued(arr)
+    if arr.size == 0 or ints is None:
         return 0.0
-    ints = rounded.astype(np.int64)
     g = int(np.gcd.reduce(np.abs(ints - ints[0])))
     return float(g) if g > 0 else 1.0
 
@@ -222,9 +230,8 @@ def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
     # kde for one stratum alone (the divergence experiment): a per-k seed
     # derived from (master seed, k), so each stratum's sample is the same
     # whichever other strata are asked for
-    seed_k = per_k_seed(config.seed, k)
-    sums = sample_subset_sums(values, k, config.samples, seed_k)
-    return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=seed_k)
+    sums = sample_subset_sums(values, k, config.samples, per_k_seed(config.seed, k))
+    return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
 
 
 def per_k_seed(master_seed: int, k: int) -> int:
@@ -281,8 +288,8 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         probs = np.empty(ks.size, dtype=np.float64)
         last = min(k_max, n - 1)
         samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
-        for i, (k, sums) in enumerate(zip(range(k_min, last + 1), samples)):
-            dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=config.seed)
+        for i, sums in enumerate(samples):
+            dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
             probs[i] = probability_query(dist, target, config.relation, g)
     elif k_min < n:
         # one query for every stratum, k = n replaced below; the sizes
@@ -377,9 +384,9 @@ def exact_perfect_sum(
     arr = as_finite_array(values)
     n = arr.size
 
-    integral = bool(np.array_equal(arr, np.rint(arr)))
     chosen = engine
     if engine == "auto":
+        integral = exact_mod._integer_valued(arr) is not None
         chosen = "dp" if integral and tolerance == 0.0 else "enumerate"
 
     if chosen == "dp":

@@ -16,10 +16,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .evaluation import DiscretePmf, discretize, js_divergence
-from .exact import InfeasibleError, binomial, exact_sum_pmf, DEFAULT_ENUMERATION_CAP
+from .exact import (
+    DEFAULT_ENUMERATION_CAP,
+    InfeasibleError,
+    _integer_valued,
+    binomial,
+    exact_sum_pmf,
+)
 from .kde import sample_subset_sums
 from .moments import set_statistics
 from .pipeline import (
+    _MODEL_FIELDS,
     ApproxConfig,
     _build_distribution,
     _config_echo,
@@ -147,7 +154,7 @@ def _row_sort_key(row: dict):
 
 def _half_total_target(values: np.ndarray) -> float:
     total = float(values.sum())
-    if np.array_equal(values, np.rint(values)):
+    if _integer_valued(values) is not None:
         return float(round(0.5 * total))
     return 0.5 * total
 
@@ -228,8 +235,7 @@ def _raw_reference(
     divergence tables compare against.
     """
     n = arr.size
-    integral = bool(np.array_equal(arr, np.rint(arr)))
-    if integral or binomial(n, k) <= MAX_EXACT_REFERENCE_SUBSETS:
+    if _integer_valued(arr) is not None or binomial(n, k) <= MAX_EXACT_REFERENCE_SUBSETS:
         pmf = exact_sum_pmf(arr, k)
         return pmf.support, pmf.mass, "exact"
     sums = sample_subset_sums(arr, k, ref_samples, seed)
@@ -278,10 +284,11 @@ def divergence_experiment(
 
     ``granularity=None`` resolves per set: the sum-lattice gcd for
     integer-valued sets, else each k's reference range divided into
-    ``bins`` windows. Methods are names or dicts of ``ApproxConfig``
-    fields, e.g. ``{"method": "chi_square", "df": 3}``; the experiment
-    ``seed`` is the default of each method's ``seed``. A key that is not
-    a field, or a family without its parameters, raises ValueError
+    ``bins`` windows. Methods are names or dicts of a ``method`` and the
+    model's ``ApproxConfig`` fields (``low``, ``high``, ``df``,
+    ``samples``, ``seed``), e.g. ``{"method": "chi_square", "df": 3}``;
+    the experiment ``seed`` is the default of each method's ``seed``. Any
+    other key, or a family without its parameters, raises ValueError
     before any reference is built.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -292,7 +299,7 @@ def divergence_experiment(
         raise ValueError(f"infeasible subset sizes for n={n}: {bad}")
 
     specs = [_method_spec(m) for m in methods]
-    configs = [_config_from(spec, seed=seed) for spec in specs]
+    configs = [_config_from(spec, ("method", *_MODEL_FIELDS), seed=seed) for spec in specs]
     rows = []
     grans: dict[str, float] = {}
     ref_kinds: dict[str, str] = {}

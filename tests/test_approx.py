@@ -46,10 +46,12 @@ class TestNormalSumApprox:
     def test_mass_against_quadrature(self):
         dist = normal_sum_approx(set_statistics([1, 2, 3, 4]), 2)
         oracle = normal_mass_quad(5.0, 5 / 3, 4.5, 5.5)
-        assert dist.mass(4.5, 5.5) == pytest.approx(oracle, abs=1e-9)
-        assert dist.mass(4.5, 5.5) == pytest.approx(0.3015, abs=5e-4)
+        # the mass on (4.5, 5.5] is the eq window around 5 at granularity 1
+        mass = probability_query(dist, 5.0, "eq", 1.0)
+        assert mass == pytest.approx(oracle, abs=1e-9)
+        assert mass == pytest.approx(0.3015, abs=5e-4)
         # compare with exact pmf value 1/3 (qualitative closeness)
-        assert abs(dist.mass(4.5, 5.5) - 1 / 3) < 0.04
+        assert abs(mass - 1 / 3) < 0.04
 
 
 class TestIrwinHall:
@@ -210,9 +212,11 @@ class TestProbabilityQuery:
     mean=st.floats(-50, 50, allow_nan=False),
     var=st.floats(0.01, 100, allow_nan=False),
     a=st.floats(-100, 100, allow_nan=False),
-    width=st.floats(0, 50, allow_nan=False),
+    # a window of width 0 has no mass by definition; the eq query rejects it
+    width=st.floats(0, 50, allow_nan=False, exclude_min=True),
 )
 @settings(max_examples=80, deadline=None)
 def test_normal_mass_nonnegative(mean, var, a, width):
     dist = NormalSum(mean, var)
-    assert 0.0 <= dist.mass(a, a + width) <= 1.0
+    # the mass on the window (a - width/2, a + width/2]
+    assert 0.0 <= probability_query(dist, a, "eq", width) <= 1.0

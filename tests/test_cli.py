@@ -156,7 +156,7 @@ class TestEvaluateCommand:
         assert code == 0
         methods = [{"method": m, "samples": 300} for m in ("normal", "kde")]
         path = tmp_path / "div.csv"
-        divergence_experiment(read_input(vals4).values, [1, 3], methods).to_csv(path)
+        divergence_experiment(read_input(vals4), [1, 3], methods).to_csv(path)
         assert out == path.read_bytes().decode()
 
     def test_unknown_method_rejected(self, capsys, vals4):

@@ -98,6 +98,13 @@ def anchor_walk(sums, tol):
     return support, counts
 
 
+class TestCountBySize:
+    def test_total_follows_the_counts(self):
+        result = exact_mod.CountBySize(counts={1: 2, 2: 5, 3: 0})
+        assert result.total == 7
+        assert result[2] == 5
+
+
 class TestBinomial:
     def test_known_value(self):
         assert binomial(100, 5) == 75_287_520

@@ -67,7 +67,15 @@ def test_comma_on_line_two_is_a_text_error(tmp_path):
 def test_crlf_csv_values(tmp_path):
     path = tmp_path / "vals.txt"
     path.write_bytes(b"1,\r\n2\r\n3\r\n")
-    assert read_input(path).values.tolist() == [1.0, 2.0, 3.0]
+    assert read_input(path).tolist() == [1.0, 2.0, 3.0]
+
+
+def test_json_object_extra_keys_ignored(tmp_path):
+    path = tmp_path / "vals.json"
+    path.write_text('{"values": [1, 2.5], "name": "toy", "family": "uniform", "note": 3}')
+    values = read_input(path)
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert values.tolist() == [1.0, 2.5]
 
 
 def test_json_non_finite_value_names_its_position(tmp_path):

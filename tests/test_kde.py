@@ -203,22 +203,22 @@ class TestFitBandwidth:
 
 class TestKdeEvaluation:
     def test_density_all_mass_at_one_point(self):
-        model = KdeModel(sums=np.full(50, 3.0), bandwidth=0.25, k=2, seed=0)
+        model = KdeModel(sums=np.full(50, 3.0), bandwidth=0.25)
         assert kde_density(model, 3.0) == pytest.approx(1 / (2 * 0.25))
 
     def test_density_compact_support(self):
-        model = KdeModel(sums=np.array([0.0, 10.0]), bandwidth=1.0, k=1, seed=0)
+        model = KdeModel(sums=np.array([0.0, 10.0]), bandwidth=1.0)
         assert kde_density(model, 0.0) == 0.25
         assert kde_density(model, 5.0) == 0.0
         assert kde_density(model, 11.5) == 0.0
 
     def test_cdf_limits(self):
-        model = KdeModel(sums=np.array([2.0, 4.0, 9.0]), bandwidth=0.5, k=2, seed=0)
+        model = KdeModel(sums=np.array([2.0, 4.0, 9.0]), bandwidth=0.5)
         assert kde_cdf(model, 2.0 - 0.5 - 1e-9) == 0.0
         assert kde_cdf(model, 9.0 + 0.5 + 1e-9) == 1.0
 
     def test_single_sample_midpoint(self):
-        model = KdeModel(sums=np.array([7.0, 7.0]), bandwidth=1.0, k=1, seed=0)
+        model = KdeModel(sums=np.array([7.0, 7.0]), bandwidth=1.0)
         assert kde_cdf(model, 7.0) == 0.5
 
     def test_normalization_exact(self):

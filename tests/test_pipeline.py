@@ -276,13 +276,26 @@ class TestApproximatePerfectSum:
         g = report.meta["granularity"]
         columns = shared_subset_sums(values, 1, 29, 300, seed=8)
         for k, sums in enumerate(columns, start=1):
-            model = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums), k=k, seed=8)
+            model = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
             assert report.probabilities[k - 1] == probability_query(model, 200.0, "ge", g)
 
     def test_kde_too_few_samples_fail_with_k(self):
         with pytest.raises(ValueError, match="need at least 2 samples for a bandwidth, got m=1"):
             approximate_perfect_sum(
                 [1, 2, 3], 2, ApproxConfig(method="kde", samples=1, k_min=2)
+            )
+
+    def test_kde_too_few_samples_fail_in_the_config(self):
+        with pytest.raises(ValueError, match="need at least 2 samples for a bandwidth, got m=1"):
+            ApproxConfig(method="kde", samples=1)
+        # other methods never sample
+        assert ApproxConfig(method="normal", samples=1).samples == 1
+
+    def test_kde_too_few_samples_fail_at_k_equal_n(self):
+        # k = n needs no sample, but the run still rejects the config
+        with pytest.raises(ValueError, match="need at least 2 samples for a bandwidth, got m=0"):
+            approximate_perfect_sum(
+                [1, 2, 3], 2, ApproxConfig(method="kde", samples=0, k_min=3)
             )
 
     def test_missing_family_params_fail_with_k(self):
@@ -401,6 +414,9 @@ class TestAutoGranularity:
 
     def test_real_sets_disable(self):
         assert auto_granularity([1.5, 2.0]) == 0.0
+
+    def test_empty_set(self):
+        assert auto_granularity([]) == 0.0
 
 
 class TestExactPerfectSum:

@@ -113,6 +113,21 @@ class TestDivergenceExperiment:
         with pytest.raises(ValueError, match="unknown config key 'dff'"):
             divergence_experiment([1, 2, 3], [2], [{"method": "chi_square", "dff": 3}])
 
+    def test_spec_keys_outside_the_model_rejected(self):
+        # granularity and k_min are config fields, but not a stratum model's
+        for key, value in (("granularity", -5), ("k_min", 99), ("diagnostics", True)):
+            spec = {"method": "normal", key: value}
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                divergence_experiment([1, 2, 3, 4, 5, 6], [2], [spec])
+
+    def test_kde_spec_with_one_sample_fails_before_any_reference(self, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference pmf built for an invalid spec")
+
+        monkeypatch.setattr(simulation, "exact_sum_pmf", no_reference)
+        with pytest.raises(ValueError, match="need at least 2 samples for a bandwidth, got m=1"):
+            divergence_experiment([1, 2, 3], [2], [{"method": "kde", "samples": 1}])
+
     def test_spec_without_family_params_fails_before_any_reference(self, monkeypatch):
         def no_reference(*args, **kwargs):
             raise AssertionError("reference pmf built for an invalid spec")
