@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -24,6 +25,7 @@ from .pipeline import (
     _MODEL_FIELDS,
     METHODS,
     ApproxConfig,
+    _check_keys,
     _config_from,
     approximate_perfect_sum,
     exact_perfect_sum,
@@ -56,6 +58,13 @@ _MODEL_OPTIONS = {
 }
 
 
+# a simulate config's keys besides experiment and name: (required, optional)
+_SIM_KEYS = {
+    "error": (("family", "n_values", "seeds"), ("config",)),
+    "divergence": (("set", "k_values", "methods"), ("granularity", "bins", "seed", "ref_samples")),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; reserve 2 for infeasible sizes
     def error(self, message):
@@ -65,6 +74,13 @@ class _Parser(argparse.ArgumentParser):
     def _fail(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         return 1
+
+
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _granularity(text: str):
@@ -98,7 +114,7 @@ def build_parser() -> _Parser:
 
     p_exact = sub.add_parser("exact", help="exact subset counting (enumeration or DP)")
     p_exact.add_argument("input", help="value file: text, CSV, or JSON")
-    p_exact.add_argument("--target", type=float, required=True)
+    p_exact.add_argument("--target", type=finite, required=True)
     p_exact.add_argument("--relation", choices=RELATIONS, required=True)
     p_exact.add_argument("--tolerance", type=float, default=0.0,
                          help="|sum - target| <= tolerance for eq on real data")
@@ -107,7 +123,7 @@ def build_parser() -> _Parser:
 
     p_approx = sub.add_parser("approx", help="probabilistic approximation of the counts")
     p_approx.add_argument("input")
-    p_approx.add_argument("--target", type=float, required=True)
+    p_approx.add_argument("--target", type=finite, required=True)
     p_approx.add_argument("--relation", choices=RELATIONS)
     p_approx.add_argument("--method", choices=_CLI_METHODS)
     p_approx.add_argument("--granularity", type=_granularity,
@@ -143,7 +159,7 @@ def build_parser() -> _Parser:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -216,7 +232,14 @@ def _set_spec(doc: dict) -> SetSpec:
 def _cmd_simulate(args) -> int:
     config = _load_sim_config(args.config)
     kind = config.get("experiment")
-    name = config.get("name", kind or "experiment")
+    if kind not in _SIM_KEYS:
+        raise InputError(f"config 'experiment' must be 'error' or 'divergence', got {kind!r}")
+    required, optional = _SIM_KEYS[kind]
+    _check_keys(config, ("experiment", "name", *required, *optional))
+    missing = [key for key in required if key not in config]
+    if missing:
+        raise InputError(f"missing config key {missing[0]!r}")
+    name = config.get("name", kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -227,19 +250,11 @@ def _cmd_simulate(args) -> int:
             _config_from(config.get("config", {})),
             config["seeds"],
         )
-    elif kind == "divergence":
-        values = generate_set(_set_spec(config["set"]))
-        result = divergence_experiment(
-            values,
-            config["k_values"],
-            config["methods"],
-            granularity=config.get("granularity"),
-            bins=config.get("bins", 60),
-            seed=config.get("seed", 0),
-            ref_samples=config.get("ref_samples", DEFAULT_REFERENCE_SAMPLES),
-        )
     else:
-        raise InputError(f"config 'experiment' must be 'error' or 'divergence', got {kind!r}")
+        # the optional keys are the experiment's keyword arguments
+        options = {key: config[key] for key in optional if key in config}
+        values = generate_set(_set_spec(config["set"]))
+        result = divergence_experiment(values, config["k_values"], config["methods"], **options)
 
     result.metadata["config_file"] = config
     csv_path = out / f"{name}.csv"

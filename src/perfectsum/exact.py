@@ -11,6 +11,8 @@ the DP extends much further whenever the sum range is small. One
 each row can reach. ``dp_counts`` also reads a size-k count off the
 complementary (n - k)-subsets when that table is narrower, so on a
 nonnegative set its table is O(min(target, total - target)) wide.
+Hybrid strata and real-valued pmfs enumerate the size-k sums alone, by
+meet in the middle.
 """
 
 from __future__ import annotations
@@ -98,9 +100,11 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_relation(relation: str) -> None:
+def _check_query(target: float, relation: str) -> None:
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
+    if math.isnan(target):
+        raise ValueError(f"target must be a number, got {target}")
 
 
 def _doubling_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +141,9 @@ def enumerate_counts(
     InfeasibleError
         If ``len(values) > cap``.
     ValueError
-        On non-finite values, a bad relation, or negative tolerance.
+        On non-finite values, a NaN target, a bad relation, or tolerance < 0.
     """
-    _check_relation(relation)
+    _check_query(target, relation)
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     arr = as_finite_array(values)
@@ -170,72 +174,31 @@ def enumerate_counts(
     return CountBySize({k: int(counts[k]) for k in range(1, n + 1)})
 
 
-# Rows per batch of index combinations in ``_sums_of_size``.
-_COMBINATION_BATCH = 200_000
+def _sums_of_size(arr: np.ndarray, k: int) -> np.ndarray:
+    """The sums of all C(n, k) size-k subsets of ``arr``, as one float64 array.
 
-
-def _sums_of_size(arr: np.ndarray, k: int):
-    """Yield the sums of all C(n, k) size-k subsets, in vectorized batches.
-
-    Small sets use the split-half merge (cost 2^(n/2) per half); larger
-    sets walk index combinations directly, in lexicographic order, which
-    is what makes small-k strata of big sets affordable.
+    Meet in the middle (Horowitz & Sahni, JACM 21(2), 1974): for each
+    feasible ka, the outer sum of the first half's ka-subset sums and the
+    second half's (k - ka)-subset sums.
     """
     n = arr.size
-    if n <= 32:
-        half = n // 2
-        sums_a, sizes_a = _doubling_sums(arr[:half])
-        sums_b, sizes_b = _doubling_sums(arr[half:])
-        for ka in range(max(0, k - (n - half)), min(half, k) + 1):
-            a = sums_a[sizes_a == ka]
-            b = sums_b[sizes_b == k - ka]
-            if a.size and b.size:
-                yield (a[:, None] + b[None, :]).ravel()
-        return
-    for idx in _combinations(n, k, np.arange(n - k + 1)[:, None]):
-        yield arr[idx].sum(axis=1)
+    half = n // 2
+    return np.concatenate([
+        np.add.outer(_half_sums(arr[:half], ka), _half_sums(arr[half:], k - ka)).ravel()
+        for ka in range(max(0, k - (n - half)), min(half, k) + 1)
+    ])
 
 
-def _combinations(n: int, k: int, prefixes: np.ndarray):
-    """Yield the k-combinations of range(n) that extend ``prefixes``, in lexicographic order.
-
-    ``prefixes`` holds ascending rows of j >= 1 indices, in lexicographic
-    order. Consecutive prefixes are completed together while their
-    combinations fit in one batch of ``_COMBINATION_BATCH`` rows; a
-    prefix with more than that is split on its next index.
-    """
-    j = prefixes.shape[1]
-    sizes = [math.comb(n - 1 - last, k - j) for last in prefixes[:, -1].tolist()]
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < len(sizes):
-        if sizes[start] > _COMBINATION_BATCH:
-            yield from _combinations(n, k, _extend(prefixes[start : start + 1], n, k))
-            start += 1
-            continue
-        # the longest run from `start` within one batch; it stops before any
-        # prefix that alone exceeds the batch
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + _COMBINATION_BATCH, side="right"))
-        batch = prefixes[start:stop]
-        while batch.shape[1] < k:
-            batch = _extend(batch, n, k)
-        yield batch
-        start = stop
-
-
-def _extend(prefixes: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Every one-index extension of each prefix that can still reach size k, in order.
-
-    A prefix ending at index l is repeated once per next index
-    l + 1 .. n - k + j, where j is the prefix length.
-    """
-    last = prefixes[:, -1]
-    counts = n - k + prefixes.shape[1] - last
-    rows = np.repeat(prefixes, counts, axis=0)
-    # position of each new row inside its prefix's run, plus l + 1
-    offsets = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.column_stack([rows, offsets + np.repeat(last + 1, counts)])
+def _half_sums(arr: np.ndarray, k: int) -> np.ndarray:
+    """The size-k subset sums of one half: by doubling up to 16 values, else recursively."""
+    if k == 0:
+        return np.zeros(1)
+    if k == 1:
+        return arr
+    if arr.size <= 16:
+        sums, sizes = _doubling_sums(arr)
+        return sums[sizes == k]
+    return _sums_of_size(arr, k)
 
 
 def _integer_valued(arr: np.ndarray) -> np.ndarray | None:
@@ -288,7 +251,7 @@ def dp_counts(
         If the table would exceed ``max_cells`` cells (the message
         reports the computed size).
     """
-    _check_relation(relation)
+    _check_query(target, relation)
     ints = _as_int_array(values)
     n = ints.size
     lo = int(ints[ints < 0].sum())
@@ -413,7 +376,7 @@ def exact_sum_pmf(values, k: int) -> ExactSumPmf:
             f"C({n},{k}) = {total_subsets} subsets exceeds the budget of {_PMF_MAX_SUBSETS}"
         )
 
-    sums = np.sort(np.concatenate(list(_sums_of_size(arr, k))))
+    sums = np.sort(_sums_of_size(arr, k))
     assert sums.size == total_subsets
 
     support, counts = _merge_close(sums, _PMF_MERGE_TOLERANCE)

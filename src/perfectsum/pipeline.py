@@ -105,10 +105,15 @@ def _config_from(doc: dict, names=None, **defaults) -> ApproxConfig:
     A key of ``doc`` outside ``names`` (default: every field) raises ValueError.
     """
     names = names or [f.name for f in fields(ApproxConfig)]
+    _check_keys(doc, names)
+    return ApproxConfig(**{**defaults, **doc})
+
+
+def _check_keys(doc: dict, names) -> None:
+    """Raise ValueError naming the first key of the config ``doc`` outside ``names``."""
     unknown = [key for key in doc if key not in names]
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}; options: {', '.join(names)}")
-    return ApproxConfig(**{**defaults, **doc})
 
 
 def _config_echo(config: ApproxConfig) -> dict:
@@ -220,7 +225,7 @@ def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
     """Model of the size-k sum; k is one size or, for a parametric family, an array of sizes."""
     if np.ndim(k) == 0 and k == stats.n:
         # only one subset: the set itself
-        return DegenerateSum(atom=k * stats.mean)
+        return DegenerateSum(atom=np.sum(values))
     if config.method == "normal":
         return normal_sum_approx(stats, k)
     if config.method == "irwin_hall":
@@ -239,14 +244,6 @@ def per_k_seed(master_seed: int, k: int) -> int:
     return int(np.random.SeedSequence((master_seed, k)).generate_state(1, np.uint64)[0])
 
 
-def _exact_stratum_count(arr: np.ndarray, k: int, target: float, relation: str, g: float) -> int:
-    """Exact number of k-subsets satisfying the relation (window semantics for eq)."""
-    return sum(
-        int(_relation_mask(sums, target, relation, g).sum())
-        for sums in exact_mod._sums_of_size(arr, k)
-    )
-
-
 def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> ApproxReport:
     """Approximate, for every subset size, how many subsets satisfy the sum relation.
 
@@ -256,8 +253,8 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     per-k counts. A parametric family models all strata with one
     distribution over the array of sizes and answers them with one
     ``probability_query``. k = n, for every method, is the one subset
-    holding the whole set: its sum n * mean is compared to the target
-    exactly, as an atom.
+    holding the whole set: its sum is compared to the target exactly, as
+    an atom.
 
     The KDE method draws its samples once for all strata:
     ``kde.shared_subset_sums`` reads every stratum's m sums off the
@@ -268,6 +265,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     change any stratum's sample. Single-stratum callers (the divergence
     experiment, ``fit_kde``) keep the per-k sampler ``sample_subset_sums``.
     """
+    exact_mod._check_query(target, config.relation)
     arr = as_finite_array(values)
     stats = set_statistics(arr)
     n = stats.n
@@ -300,7 +298,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     else:
         probs = np.empty(1)
     if k_max == n:
-        probs[-1] = _relation_mask(n * stats.mean, target, config.relation, g)
+        probs[-1] = _relation_mask(arr.sum(), target, config.relation, g)
 
     # hybrid mode: replace small strata with exact enumeration
     exact_idx: dict[int, int] = {}
@@ -308,7 +306,8 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         i = k - k_min
         if binomial(n, k) > EXACT_STRATUM_BUDGET:
             continue
-        exact_idx[i] = _exact_stratum_count(arr, k, target, config.relation, g)
+        sums = exact_mod._sums_of_size(arr, k)
+        exact_idx[i] = int(_relation_mask(sums, target, config.relation, g).sum())
         methods[i] = "exact"
 
     # Python work only for the strata that get a count: the binomial
@@ -373,7 +372,7 @@ def exact_perfect_sum(
         When the instance exceeds the chosen engine's budget; the
         approximate mode has no such cap.
     ValueError
-        On a negative tolerance, or a nonzero one with the dp engine.
+        On a negative tolerance, a nonzero one with the dp engine, or a NaN target.
     """
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"engine must be auto, enumerate or dp, got {engine!r}")

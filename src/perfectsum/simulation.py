@@ -23,6 +23,7 @@ from .exact import (
     binomial,
     exact_sum_pmf,
 )
+from .inputs import read_input
 from .kde import sample_subset_sums
 from .moments import set_statistics
 from .pipeline import (
@@ -89,8 +90,8 @@ def generate_set(spec: SetSpec) -> np.ndarray:
     """n i.i.d. draws from the family, deterministic per seed.
 
     ``discrete_uniform`` yields integers on [low, high] inclusive (as
-    float64, like every other family). ``custom_file`` returns the file
-    contents verbatim, one value per line.
+    float64, like every other family). ``custom_file`` reads the file at
+    ``path`` with ``inputs.read_input`` (text, CSV or JSON).
     """
     rng = np.random.default_rng(spec.seed)
     if spec.family == "discrete_uniform":
@@ -105,7 +106,7 @@ def generate_set(spec: SetSpec) -> np.ndarray:
         return rng.chisquare(spec.df, spec.n)
     if spec.path is None:
         raise ValueError("custom_file family needs a path")
-    return np.loadtxt(spec.path, dtype=np.float64).reshape(-1)
+    return read_input(spec.path)
 
 
 _ROW_KEYS = ("n", "k", "method", "metric", "value", "seed")

@@ -230,11 +230,61 @@ class TestSimulateCommand:
         assert code == 1
         assert "error' or 'divergence" in err
 
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [
+            ("error", {"bns": 5}, "unknown config key 'bns'; options: experiment, name,"),
+            ("divergence", {"sead": 9}, "unknown config key 'sead'; options: experiment, name,"),
+            ("error", {"n_values": None}, "missing config key 'n_values'"),
+            ("divergence", {"set": None}, "missing config key 'set'"),
+        ],
+        ids=["unknown-error", "unknown-divergence", "missing-error", "missing-divergence"],
+    )
+    def test_top_level_keys_checked(self, capsys, tmp_path, kind, extra, message):
+        configs = {
+            "error": {"family": {"family": "discrete_uniform", "low": 0, "high": 20},
+                      "n_values": [6], "seeds": [0]},
+            "divergence": {"set": {"family": "discrete_uniform", "n": 6}, "k_values": [1],
+                           "methods": ["normal"]},
+        }
+        # a key set to None is left out
+        config = {"experiment": kind, **configs[kind], **extra}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_custom_file_set_read_like_any_input(self, capsys, tmp_path):
+        config = {
+            "experiment": "divergence",
+            "set": {"family": "custom_file", "n": 4, "path": str(tmp_path / "vals.csv")},
+            "k_values": [2],
+            "methods": ["normal"],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "cannot read" in err
+        (tmp_path / "vals.csv").write_text("value\n1\n2\n3\n5\n")
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "exact", "/nonexistent", "--target", "1", "--relation", "eq")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["exact", "approx"])
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1e400"])
+    def test_target_must_be_finite(self, capsys, vals4, command, target):
+        code, out, err = run_cli(capsys, command, vals4, f"--target={target}", "--relation", "ge")
+        assert code == 1
+        assert out == ""
+        assert f"argument --target: must be finite, got '{target}'" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -383,28 +383,49 @@ class TestExactSumPmf:
                 )
 
 
+def split_half_merge(values, k):
+    """Size-k sums of up to 32 values: each half's subsets by doubling, outer sums per ka."""
+
+    def doubling(part):
+        sums, sizes = np.zeros(1), np.zeros(1, dtype=np.int64)
+        for x in part:
+            sums, sizes = np.concatenate([sums, sums + x]), np.concatenate([sizes, sizes + 1])
+        return sums, sizes
+
+    half = len(values) // 2
+    sums_a, sizes_a = doubling(values[:half])
+    sums_b, sizes_b = doubling(values[half:])
+    return np.concatenate([
+        (sums_a[sizes_a == ka][:, None] + sums_b[sizes_b == k - ka][None, :]).ravel()
+        for ka in range(max(0, k - (len(values) - half)), min(half, k) + 1)
+    ])
+
+
 class TestSumsOfSize:
     @pytest.mark.parametrize(
-        "n, k, batch",
-        [
-            (33, 1, None),
-            (33, 33, None),
-            (40, 4, None),  # 91,390 rows in one batch
-            (33, 3, 7),  # batches end inside the prefixes (0,) and (0, 1)
-            (34, 30, 50),  # k > 8: numpy's pairwise row sums
-            (36, 4, 1_000),
-        ],
+        "n, k",
+        [(33, 1), (33, 33), (40, 4), (33, 3), (34, 30), (36, 4)],
     )
-    def test_large_sets_match_itertools(self, n, k, batch, monkeypatch, rng):
-        # sets past 32 build lexicographic index batches with numpy; the sums
-        # must equal those of itertools.combinations bit for bit, in order
-        if batch is not None:
-            monkeypatch.setattr(exact_mod, "_COMBINATION_BATCH", batch)
+    def test_large_sets_match_itertools(self, n, k, rng):
         arr = rng.chisquare(3, n)
-        got = list(_sums_of_size(arr, k))
         idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-        assert np.concatenate(got).tobytes() == arr[idx].sum(axis=1).tobytes()
-        assert max(part.size for part in got) <= exact_mod._COMBINATION_BATCH
+        # past 32 values the halves recurse, so a sum of k nonnegative reals
+        # may associate differently from itertools' order; either rounding is
+        # within (k - 1) * eps / 2 of the exact sum
+        np.testing.assert_allclose(
+            np.sort(_sums_of_size(arr, k)),
+            np.sort(arr[idx].sum(axis=1)),
+            rtol=k * np.finfo(np.float64).eps,
+            atol=0,
+        )
+        # integer sums are exact in any order
+        ints = np.floor(arr * 1000)
+        got = np.sort(_sums_of_size(ints, k))
+        assert got.tolist() == np.sort(ints[idx].sum(axis=1)).tolist()
+        # up to 32 values the sums are the split-half merge's, bit for bit and in order
+        small = arr[: n - 8]
+        j = min(k, small.size)
+        assert _sums_of_size(small, j).tobytes() == split_half_merge(small, j).tobytes()
 
 
 class TestMergeClose:

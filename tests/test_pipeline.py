@@ -13,9 +13,12 @@ from perfectsum import (
     approximate_perfect_sum,
     auto_granularity,
     binomial,
+    dp_counts,
+    enumerate_counts,
     exact_perfect_sum,
+    set_statistics,
 )
-from perfectsum.pipeline import _round_half_even
+from perfectsum.pipeline import _build_distribution, _round_half_even
 
 from conftest import brute_counts
 
@@ -94,6 +97,23 @@ class TestApproximatePerfectSum:
                 [1, 2, 3, 4], target, ApproxConfig(method="kde", relation="ge", samples=50)
             )
             assert report.counts_by_k()[4] == count
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("normal", {}), ("irwin_hall", {"low": 0.0, "high": 1.0}), ("chi_square", {"df": 1.0}),
+         ("kde", {"samples": 50})],
+    )
+    def test_k_equals_n_compares_the_sum_of_the_set(self, method, extra):
+        # 49 * mean and 7 * mean miss these sets' sums by an ulp
+        for values, target, relation in (([1] + [0] * 48, 1, "ge"), ([29] + [0] * 6, 29, "le")):
+            config = ApproxConfig(method=method, relation=relation, **extra)
+            n = len(values)
+            report = approximate_perfect_sum(values, target, config)
+            assert report.counts_by_k()[n] == 1
+            arr = np.array(values, dtype=np.float64)
+            assert _build_distribution(arr, set_statistics(arr), n, config).atom == sum(values)
+        if method == "normal":
+            assert approximate_perfect_sum([1] + [0] * 48, 1, ApproxConfig()).total == 2**48
 
     def test_counts_within_bounds(self, rng):
         for _ in range(5):
@@ -417,6 +437,21 @@ class TestAutoGranularity:
 
     def test_empty_set(self):
         assert auto_granularity([]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda t: approximate_perfect_sum([1, 2, 3], t, ApproxConfig()),
+        lambda t: exact_perfect_sum([1, 2, 3], t, "ge"),
+        lambda t: enumerate_counts([1, 2, 3], t, "ge"),
+        lambda t: dp_counts([1, 2, 3], t, "ge"),
+    ],
+    ids=["approximate_perfect_sum", "exact_perfect_sum", "enumerate_counts", "dp_counts"],
+)
+def test_nan_target_rejected(count):
+    with pytest.raises(ValueError, match="target must be a number, got nan"):
+        count(math.nan)
 
 
 class TestExactPerfectSum:

@@ -9,6 +9,7 @@ import pytest
 from perfectsum import (
     ApproxConfig,
     InfeasibleError,
+    InputError,
     SetSpec,
     divergence_experiment,
     error_experiment,
@@ -40,6 +41,16 @@ class TestGenerateSet:
         path.write_text("1.5\n-2\n42\n")
         values = generate_set(SetSpec(family="custom_file", n=3, path=str(path)))
         assert values.tolist() == [1.5, -2.0, 42.0]
+
+    def test_custom_file_takes_every_input_format(self, tmp_path):
+        docs = {"vals.csv": "value\n1.5\n-2\n42\n", "vals.json": '{"values": [1.5, -2, 42]}'}
+        for name, text in docs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            values = generate_set(SetSpec(family="custom_file", n=3, path=str(path)))
+            assert values.tolist() == [1.5, -2.0, 42.0]
+        with pytest.raises(InputError, match="cannot read"):
+            generate_set(SetSpec(family="custom_file", n=3, path=str(tmp_path / "absent.txt")))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
