@@ -63,6 +63,11 @@ _SIM_KEYS = {
     "error": (("family", "n_values", "seeds"), ("config",)),
     "divergence": (("set", "k_values", "methods"), ("granularity", "bins", "seed", "ref_samples")),
 }
+# the JSON type of each simulate config key that holds an array or an object
+_SIM_TYPES = {
+    "family": dict, "set": dict, "config": dict,
+    "n_values": list, "seeds": list, "k_values": list, "methods": list,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,9 +222,12 @@ def _load_sim_config(path) -> dict:
     except OSError as err:
         raise InputError(f"cannot read config {path}: {err}") from err
     try:
-        return json.loads(text)
+        config = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err
+    if not isinstance(config, dict):
+        raise InputError(f"{path}: a config must be a JSON object")
+    return config
 
 
 def _set_spec(doc: dict) -> SetSpec:
@@ -239,6 +247,10 @@ def _cmd_simulate(args) -> int:
     missing = [key for key in required if key not in config]
     if missing:
         raise InputError(f"missing config key {missing[0]!r}")
+    for key, expected in _SIM_TYPES.items():
+        if key in config and not isinstance(config[key], expected):
+            json_type = "array" if expected is list else "object"
+            raise InputError(f"config {key!r} must be a JSON {json_type}")
     name = config.get("name", kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,7 @@ def read_input(path) -> np.ndarray:
 
     Accepted formats, detected from extension and content:
 
-    * plain text: one value per line, blank lines ignored
+    * plain text: one value per line, blank lines and ``#`` comments ignored
     * CSV: a single column, optional non-numeric header row
     * JSON: an array of numbers, or an object with a ``values`` array;
       its other keys (such as ``name`` or ``family``) are ignored
@@ -87,18 +87,65 @@ def _parse_csv(text: str, path) -> np.ndarray:
 
 
 def _parse_text(text: str, path) -> np.ndarray:
-    try:
-        # fast path: numpy's C tokenizer
-        values = np.loadtxt(io.StringIO(text), dtype=np.float64).reshape(-1)
-    except ValueError:
-        # re-parse slowly to report the offending line
-        values = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: not a number: {token!r}") from None
+    values = _integer_lines(text)
+    if values is None:
+        try:
+            # numpy's C tokenizer; ndmin=2 keeps the columns of a one-line file apart
+            values = np.loadtxt(io.StringIO(text), dtype=np.float64, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape[1] > 1:
+            values = _parse_lines(text, path)
     return _finite(values, str(path))
+
+
+def _parse_lines(text: str, path) -> list:
+    """One float per line, as loadtxt reads it; the error names the first bad line."""
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        token = line.partition("#")[0].strip()  # loadtxt's comments
+        if not token:
+            continue
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: not a number: {token!r}") from None
+    return values
+
+
+# every integer of at most 15 decimal digits is exact in float64
+_MAX_DIGITS = 15
+
+
+def _integer_lines(text: str):
+    """The values of ``text`` if each nonblank line is ``-?[0-9]{1,15}``, else None.
+
+    Decodes the digits from the text's bytes with a few numpy passes; the
+    result is what ``np.loadtxt`` returns for such text, ``-0`` included.
+    """
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    digit = raw - np.uint8(ord("0"))  # wraps, so each non-digit byte is >= 10
+    newline = raw == ord("\n")
+    minus = raw == ord("-")
+    if np.count_nonzero((digit < 10) | newline | minus) != raw.size:
+        return None
+    # a line's bytes are the ones that are not newlines; its edges alternate start, end
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ~newline, [False]))))
+    starts, ends = edges[::2], edges[1::2]
+    negative = minus[starts]
+    if np.count_nonzero(negative) != np.count_nonzero(minus):
+        return None  # a '-' after a line's first byte
+    ndigits = ends - starts - negative
+    if not starts.size or not 1 <= ndigits.min() <= ndigits.max() <= _MAX_DIGITS:
+        return None
+    last = ends - 1
+    values = digit[last].astype(np.int64)
+    for place in range(1, int(ndigits.max())):
+        # clip: the first line's higher places may reach before the text
+        digits = digit.take(last - place, mode="clip")
+        digits *= ndigits > place  # zero past a line's first digit
+        values += np.multiply(digits, 10**place, dtype=np.int64)
+    values = values.astype(np.float64)
+    return np.negative(values, out=values, where=negative)

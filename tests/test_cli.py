@@ -237,8 +237,11 @@ class TestSimulateCommand:
             ("divergence", {"sead": 9}, "unknown config key 'sead'; options: experiment, name,"),
             ("error", {"n_values": None}, "missing config key 'n_values'"),
             ("divergence", {"set": None}, "missing config key 'set'"),
+            ("error", {"family": [1]}, "config 'family' must be a JSON object"),
+            ("divergence", {"k_values": 3}, "config 'k_values' must be a JSON array"),
         ],
-        ids=["unknown-error", "unknown-divergence", "missing-error", "missing-divergence"],
+        ids=["unknown-error", "unknown-divergence", "missing-error", "missing-divergence",
+             "family-not-object", "k-values-not-array"],
     )
     def test_top_level_keys_checked(self, capsys, tmp_path, kind, extra, message):
         configs = {
@@ -255,6 +258,14 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert message in err
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "a config must be a JSON object" in err
 
     def test_custom_file_set_read_like_any_input(self, capsys, tmp_path):
         config = {

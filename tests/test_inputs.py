@@ -1,7 +1,8 @@
-"""Input parsing: which parser read_input picks for a text file."""
+"""Input parsing: which parser read_input picks, and what the text parser reads."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perfectsum import inputs
 from perfectsum.inputs import InputError, read_input
@@ -82,4 +83,88 @@ def test_json_non_finite_value_names_its_position(tmp_path):
     path = tmp_path / "vals.json"
     path.write_text("[1, NaN, 3]")
     with pytest.raises(InputError, match="non-finite value at position 2"):
+        read_input(path)
+
+
+# a line of an integer file: up to 15 digits, -0, leading zeros, or blank
+_INTEGER_LINE = st.one_of(
+    st.integers(-(10**15) + 1, 10**15 - 1).map(str),
+    st.just("-0"),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=15)).map(
+        "".join
+    ),
+    st.just(""),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_INTEGER_LINE, min_size=1, max_size=30).filter(any),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_integer_text_reads_as_loadtxt_bits(tmp_path_factory, lines, newline, final_newline):
+    path = tmp_path_factory.mktemp("ints") / "vals.txt"
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("ascii"))
+    assert inputs._integer_lines(path.read_text()) is not None  # the byte tokenizer ran
+    got = read_input(path)
+    want = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    # equal bits, so -0 stays -0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# text the byte tokenizer leaves to loadtxt, and what read_input makes of it
+FALLBACK = {
+    "plus": ("+5\n", [5.0]),
+    "exponent": ("1e3\n", [1000.0]),
+    "decimal_point": ("1.5\n", [1.5]),
+    "sixteen_digits": ("1234567890123456\n", [1234567890123456.0]),
+    "seventeen_digits": ("12345678901234567\n", [12345678901234568.0]),
+    "tabs": ("\t3\n4\t\n", [3.0, 4.0]),
+    "trailing_space": ("3 \n", [3.0]),
+    "no_break_space": ("\u00a05\n", [5.0]),
+    "comment_line": ("# c\n4\n", [4.0]),
+    "trailing_comment": ("4\n5 # note\n", [4.0, 5.0]),
+    "lone_minus": ("5\n-\n", "line 2: not a number: '-'"),
+    "inner_minus": ("1-2\n", "line 1: not a number: '1-2'"),
+    "double_minus": ("--1\n", "line 1: not a number: '--1'"),
+    "non_ascii": ("5\n\u00e9\n", "line 2: not a number: '\u00e9'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
+def test_fallback_text_keeps_its_result(name, tmp_path):
+    contents, expected = FALLBACK[name]
+    path = tmp_path / "vals.txt"
+    path.write_bytes(contents.encode("utf-8"))
+    assert inputs._integer_lines(path.read_text(encoding="utf-8")) is None
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=expected):
+            read_input(path)
+    else:
+        assert read_input(path).tolist() == expected
+
+
+def test_bad_line_of_an_integer_file_is_named(tmp_path):
+    lines = [str(v) for v in range(-500, 500)]
+    lines[536] = "53x"
+    path = tmp_path / "vals.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=r"line 537: not a number: '53x'"):
+        read_input(path)
+
+
+@pytest.mark.parametrize("contents", ["1 5\n2 7\n3 9\n", "1 5\n"])
+def test_two_columns_are_an_error(contents, tmp_path):
+    path = tmp_path / "vals.txt"
+    path.write_text(contents)
+    with pytest.raises(InputError, match=r"line 1: not a number: '1 5'"):
+        read_input(path)
+
+
+def test_comment_lines_skipped_when_naming_a_bad_line(tmp_path):
+    path = tmp_path / "vals.txt"
+    path.write_text("# c\n4\nx # why\n")
+    with pytest.raises(InputError, match=r"line 3: not a number: 'x'"):
         read_input(path)
