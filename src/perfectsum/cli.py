@@ -63,10 +63,12 @@ _SIM_KEYS = {
     "error": (("family", "n_values", "seeds"), ("config",)),
     "divergence": (("set", "k_values", "methods"), ("granularity", "bins", "seed", "ref_samples")),
 }
-# the JSON type of each simulate config key that holds an array or an object
-_SIM_TYPES = {
-    "family": dict, "set": dict, "config": dict,
-    "n_values": list, "seeds": list, "k_values": list, "methods": list,
+# the simulate config keys that hold a JSON object, and those that hold an
+# array with the JSON types of its elements
+_SIM_OBJECTS = ("family", "set", "config")
+_SIM_ARRAYS = {
+    "n_values": ((int,), "integers"), "seeds": ((int,), "integers"),
+    "k_values": ((int,), "integers"), "methods": ((str, dict), "method names or objects"),
 }
 
 
@@ -247,10 +249,14 @@ def _cmd_simulate(args) -> int:
     missing = [key for key in required if key not in config]
     if missing:
         raise InputError(f"missing config key {missing[0]!r}")
-    for key, expected in _SIM_TYPES.items():
-        if key in config and not isinstance(config[key], expected):
-            json_type = "array" if expected is list else "object"
-            raise InputError(f"config {key!r} must be a JSON {json_type}")
+    for key in _SIM_OBJECTS:
+        if not isinstance(config.get(key, {}), dict):
+            raise InputError(f"config {key!r} must be a JSON object")
+    for key, (types, what) in _SIM_ARRAYS.items():
+        items = config.get(key, [])
+        # type(), not isinstance(): a bool, JSON true or false, is no integer here
+        if not isinstance(items, list) or any(type(item) not in types for item in items):
+            raise InputError(f"config {key!r} must be a JSON array of {what}")
     name = config.get("name", kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,7 +294,7 @@ def main(argv=None) -> int:
     except InfeasibleError as err:
         print(f"perfectsum: infeasible: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as err:  # InputError included
+    except ValueError as err:  # InputError included
         print(f"perfectsum: input error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # pragma: no cover - defensive

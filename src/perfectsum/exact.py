@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import as_finite_array
+from .evaluation import DiscretePmf
+from .moments import _check_k, as_finite_array
 
 __all__ = [
     "InfeasibleError",
     "CountBySize",
-    "ExactSumPmf",
     "binomial",
     "enumerate_counts",
     "dp_counts",
@@ -68,24 +68,6 @@ class CountBySize:
 
     def __getitem__(self, k: int) -> int:
         return self.counts[k]
-
-
-@dataclass(eq=False)
-class ExactSumPmf:
-    """Exact distribution of the sum of a uniform random size-k subset."""
-
-    k: int
-    support: np.ndarray
-    mass: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.mass))
-
-    @property
-    def variance(self) -> float:
-        m = self.mean
-        return float(np.dot((self.support - m) ** 2, self.mass))
 
 
 def binomial(n: int, k: int) -> int:
@@ -337,7 +319,7 @@ def _sum_table(
     return dp
 
 
-def exact_sum_pmf(values, k: int) -> ExactSumPmf:
+def exact_sum_pmf(values, k: int) -> DiscretePmf:
     """Exact pmf of the sum of a uniform random size-k subset.
 
     Integer-valued sets go through the DP table, which is exact and fast
@@ -351,9 +333,7 @@ def exact_sum_pmf(values, k: int) -> ExactSumPmf:
     """
     arr = as_finite_array(values)
     n = arr.size
-    if not 1 <= k <= n:
-        raise ValueError(f"subset size k={k} out of range 1..{n}")
-
+    _check_k(k, n)
     total_subsets = math.comb(n, k)
 
     ints = _integer_valued(arr)
@@ -369,7 +349,7 @@ def exact_sum_pmf(values, k: int) -> ExactSumPmf:
         idx = np.flatnonzero(row)
         support = (idx + lo).astype(np.float64)
         mass = np.array([int(row[i]) / total_subsets for i in idx], dtype=np.float64)
-        return ExactSumPmf(k=k, support=support, mass=mass)
+        return DiscretePmf(support=support, mass=mass)
 
     if total_subsets > _PMF_MAX_SUBSETS:
         raise InfeasibleError(
@@ -381,7 +361,7 @@ def exact_sum_pmf(values, k: int) -> ExactSumPmf:
 
     support, counts = _merge_close(sums, _PMF_MERGE_TOLERANCE)
     mass = counts.astype(np.float64) / total_subsets
-    return ExactSumPmf(k=k, support=support, mass=mass)
+    return DiscretePmf(support=support, mass=mass)
 
 
 def _merge_close(sums: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

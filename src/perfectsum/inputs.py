@@ -100,9 +100,14 @@ def _parse_text(text: str, path) -> np.ndarray:
 
 
 def _parse_lines(text: str, path) -> list:
-    """One float per line, as loadtxt reads it; the error names the first bad line."""
+    """One float per line, as loadtxt reads it; the error names the first bad line.
+
+    Only a newline ends a line; ``read_text`` has already turned carriage
+    returns into newlines, and a form feed or a Unicode line separator
+    stays part of its line.
+    """
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         token = line.partition("#")[0].strip()  # loadtxt's comments
         if not token:
             continue

@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .moments import as_finite_array
+from .moments import _check_k, as_finite_array
 
 __all__ = [
     "KdeModel",
@@ -76,8 +76,7 @@ def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
     """
     arr = as_finite_array(values)
     n = arr.size
-    if not 1 <= k <= n:
-        raise ValueError(f"subset size k={k} out of range 1..{n}")
+    _check_k(k, n)
     if m < 2:
         raise ValueError(f"need at least 2 samples for a bandwidth, got m={m}")
 

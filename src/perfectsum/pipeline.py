@@ -300,22 +300,21 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     if k_max == n:
         probs[-1] = _relation_mask(arr.sum(), target, config.relation, g)
 
-    # hybrid mode: replace small strata with exact enumeration
-    exact_idx: dict[int, int] = {}
+    # hybrid mode: small strata take the exact share of their subsets. With
+    # C = C(n, k) <= EXACT_STRATUM_BUDGET = 10^6, fl(count / C) * C is within
+    # 10^6 * 2^-53 < 0.5 of the count, so the count loop rounds it back exactly
     for k in range(k_min, config.exact_small_k + 1):
-        i = k - k_min
-        if binomial(n, k) > EXACT_STRATUM_BUDGET:
+        c = binomial(n, k)
+        if c > EXACT_STRATUM_BUDGET:
             continue
         sums = exact_mod._sums_of_size(arr, k)
-        exact_idx[i] = int(_relation_mask(sums, target, config.relation, g).sum())
-        methods[i] = "exact"
+        probs[k - k_min] = int(_relation_mask(sums, target, config.relation, g).sum()) / c
+        methods[k - k_min] = "exact"
 
     # Python work only for the strata that get a count: the binomial
     # recurrence steps from one such k to the next
     counts: list = [0] * ks.size
-    needs_c = probs > 0.0
-    needs_c[list(exact_idx)] = False
-    idx = np.flatnonzero(needs_c).tolist()
+    idx = np.flatnonzero(probs > 0.0).tolist()
     at = k_min + idx[0] if idx else 0
     c = math.comb(n, at)
     for i, p in zip(idx, probs[idx].tolist()):
@@ -324,10 +323,6 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         at = k_min + i
         counts[i] = _round_half_even(p, c)
     total = sum(counts[i] for i in idx)
-    for i, cnt in exact_idx.items():
-        counts[i] = cnt
-        probs[i] = cnt / binomial(n, k_min + i)
-        total += cnt
 
     diagnostics = berry_esseen_terms(arr, ks) if config.diagnostics else None
 

@@ -35,7 +35,6 @@ from .pipeline import (
     approximate_perfect_sum,
     auto_granularity,
     exact_perfect_sum,
-    per_k_seed,
 )
 
 __all__ = [
@@ -233,13 +232,16 @@ def _raw_reference(
     Exact whenever computable (integer-valued sets via the DP, real sets
     while C(n, k) is within budget); otherwise a seeded empirical
     reference of ``ref_samples`` sampled sums, which is what large-n
-    divergence tables compare against.
+    divergence tables compare against. Its draws come from a child of
+    ``SeedSequence((seed, k))``, whose own state seeds a KDE method on the
+    experiment seed (``pipeline.per_k_seed``), so the two share no draws.
     """
     n = arr.size
     if _integer_valued(arr) is not None or binomial(n, k) <= MAX_EXACT_REFERENCE_SUBSETS:
         pmf = exact_sum_pmf(arr, k)
         return pmf.support, pmf.mass, "exact"
-    sums = sample_subset_sums(arr, k, ref_samples, seed)
+    child = np.random.SeedSequence((seed, k)).spawn(1)[0]
+    sums = sample_subset_sums(arr, k, ref_samples, int(child.generate_state(1, np.uint64)[0]))
     return sums, np.full(sums.size, 1.0 / sums.size), "sampled"
 
 
@@ -307,7 +309,7 @@ def divergence_experiment(
     base_g = auto_granularity(arr) if granularity is None else float(granularity)
 
     for k in k_values:
-        points, weights, kind = _raw_reference(arr, k, per_k_seed(seed, k), ref_samples)
+        points, weights, kind = _raw_reference(arr, k, seed, ref_samples)
         if base_g > 0:
             g = base_g
         else:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from perfectsum import divergence_experiment, read_input
+from perfectsum import cli, divergence_experiment, read_input
 from perfectsum.cli import main
 
 
@@ -125,6 +125,25 @@ class TestApproxCommand:
         )
         assert code == 1
         assert "low and high" in err
+
+    @pytest.mark.parametrize("text, echoed", [("auto", 1.0), ("0.5", 0.5)])
+    def test_granularity_option(self, capsys, vals4, text, echoed):
+        code, out, _ = run_cli(
+            capsys, "approx", vals4, "--target", "5", "--relation", "eq", "--granularity", text
+        )
+        assert code == 0
+        assert json.loads(out)["granularity"] == echoed
+
+    @pytest.mark.parametrize(
+        "text, message", [("-1", "granularity must be >= 0"), ("abc", "'auto' or a number")]
+    )
+    def test_bad_granularity_is_input_error(self, capsys, vals4, text, message):
+        code, out, err = run_cli(
+            capsys, "approx", vals4, "--target", "5", f"--granularity={text}"
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 class TestEvaluateCommand:
@@ -259,6 +278,30 @@ class TestSimulateCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [
+            ("divergence", {"methods": [5]}, "'methods' must be a JSON array of method names"),
+            ("divergence", {"k_values": ["a"]}, "'k_values' must be a JSON array of integers"),
+            ("error", {"n_values": ["a"]}, "'n_values' must be a JSON array of integers"),
+            ("error", {"seeds": ["x"]}, "'seeds' must be a JSON array of integers"),
+        ],
+        ids=["methods", "k-values", "n-values", "seeds"],
+    )
+    def test_array_elements_checked(self, capsys, tmp_path, kind, extra, message):
+        configs = {
+            "error": {"family": {"family": "discrete_uniform", "low": 0, "high": 20},
+                      "n_values": [6], "seeds": [0]},
+            "divergence": {"set": {"family": "discrete_uniform", "n": 6}, "k_values": [1],
+                           "methods": ["normal"]},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": kind, **configs[kind], **extra}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert f"input error: config {message}" in err
+
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")
@@ -296,6 +339,16 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert f"argument --target: must be finite, got '{target}'" in err
+
+    def test_internal_key_error_is_exit_3(self, capsys, vals4, monkeypatch):
+        def broken(*args):
+            raise KeyError("stratum")
+
+        monkeypatch.setattr(cli, "approximate_perfect_sum", broken)
+        code, out, err = run_cli(capsys, "approx", vals4, "--target", "5")
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

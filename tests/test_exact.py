@@ -197,6 +197,15 @@ class TestDpCounts:
             b = enumerate_counts([1, 2, 3, 4], 5, relation)
             assert a.counts == b.counts
 
+    def test_set_without_positive_values(self):
+        # every subset sum is <= 0, so le at a target >= 0 counts every subset
+        values = [-1, -2, -3]
+        for target in (5.0, 0.0, -0.5, -3.0, -7.0):
+            for relation in ("le", "ge"):
+                assert dp_counts(values, target, relation).counts == enumerate_counts(
+                    values, target, relation
+                ).counts, (target, relation)
+
     def test_duplicate_zeros(self):
         res = dp_counts([0, 0], 0, "eq")
         assert res.counts == {1: 2, 2: 1}
@@ -374,11 +383,13 @@ class TestExactSumPmf:
             stats = set_statistics(values)
             for k in range(1, stats.n + 1):
                 pmf = exact_sum_pmf(values, k)
+                mean = float(np.dot(pmf.support, pmf.mass))
+                variance = float(np.dot((pmf.support - mean) ** 2, pmf.mass))
                 scale = max(1.0, abs(subset_sum_mean(stats, k)))
-                assert pmf.mean == pytest.approx(
+                assert mean == pytest.approx(
                     subset_sum_mean(stats, k), rel=1e-10, abs=1e-10 * scale
                 )
-                assert pmf.variance == pytest.approx(
+                assert variance == pytest.approx(
                     subset_sum_variance(stats, k), rel=1e-9, abs=1e-9 * scale
                 )
 

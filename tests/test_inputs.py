@@ -1,5 +1,7 @@
 """Input parsing: which parser read_input picks, and what the text parser reads."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,4 +169,22 @@ def test_comment_lines_skipped_when_naming_a_bad_line(tmp_path):
     path = tmp_path / "vals.txt"
     path.write_text("# c\n4\nx # why\n")
     with pytest.raises(InputError, match=r"line 3: not a number: 'x'"):
+        read_input(path)
+
+
+# str.splitlines() also breaks at these characters; in a value file they
+# stay part of their line, so each line here holds a bad token
+SPLITLINES_ONLY = {
+    "form_feed": ("1\x0c2\nx\n", 1, "1\x0c2"),
+    "file_separator": ("4\n1\x1c5\n", 2, "1\x1c5"),
+    "line_separator": ("5\n1\u20282\n7\n", 2, "1\u20282"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLITLINES_ONLY))
+def test_only_a_newline_ends_a_text_line(name, tmp_path):
+    contents, lineno, token = SPLITLINES_ONLY[name]
+    path = tmp_path / "vals.txt"
+    path.write_bytes(contents.encode("utf-8"))
+    with pytest.raises(InputError, match=re.escape(f"line {lineno}: not a number: {token!r}")):
         read_input(path)

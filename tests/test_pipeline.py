@@ -18,7 +18,7 @@ from perfectsum import (
     exact_perfect_sum,
     set_statistics,
 )
-from perfectsum.pipeline import _build_distribution, _round_half_even
+from perfectsum.pipeline import EXACT_STRATUM_BUDGET, _build_distribution, _round_half_even
 
 from conftest import brute_counts
 
@@ -62,6 +62,14 @@ class TestRounding:
                     ties.add(got > Fraction(p) * c)
         # exact ties occur, rounding both up (0.5 * 7) and down (0.5 * 5)
         assert ties == {False, True}
+
+    def test_exact_share_rounds_back_to_its_count(self, rng):
+        # a hybrid stratum keeps count / C with C <= the exact budget, and the
+        # count loop must recover the count from that float
+        for c in (1, 2, 3, 7, 255, 999_983, EXACT_STRATUM_BUDGET):
+            counts = {0, 1, c // 3, c // 2, c - 1, c, *rng.integers(0, c + 1, 500).tolist()}
+            for count in counts:
+                assert _round_half_even(count / c, c) == count, (count, c)
 
 
 class TestApproximatePerfectSum:
@@ -170,6 +178,21 @@ class TestApproximatePerfectSum:
         brute = brute_counts(values, 30.0, "ge")
         assert report.counts_by_k()[1] == brute[1]
         assert report.counts_by_k()[2] == brute[2]
+
+    def test_hybrid_stratum_over_the_budget_keeps_its_model(self, rng):
+        # C(60, 4) = 487,635 is within the exact budget; C(60, 5) = 5,461,512 is not
+        values = rng.integers(0, 30, 60).tolist()
+        target = 0.5 * sum(values)
+        hybrid = approximate_perfect_sum(
+            values, target, ApproxConfig(relation="ge", exact_small_k=5)
+        )
+        model = approximate_perfect_sum(values, target, ApproxConfig(relation="ge"))
+        assert hybrid.methods == ["exact"] * 4 + ["normal"] * 56
+        dp = dp_counts(values, target, "ge")
+        assert hybrid.counts[:4] == [dp[k] for k in range(1, 5)]
+        assert hybrid.counts[4:] == model.counts[4:]
+        assert hybrid.probabilities[4:].tobytes() == model.probabilities[4:].tobytes()
+        assert hybrid.total == sum(hybrid.counts)
 
     def test_k_range_restriction(self):
         report = approximate_perfect_sum(

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from perfectsum import (
     InfeasibleError,
     InputError,
     SetSpec,
+    approximate_perfect_sum,
     divergence_experiment,
     error_experiment,
+    exact_perfect_sum,
     generate_set,
 )
-from perfectsum import simulation
+from perfectsum import pipeline, simulation
 
 
 class TestGenerateSet:
@@ -69,6 +72,18 @@ class TestErrorExperiment:
         result = error_experiment(self.FAMILY, [12], config, seeds=[4])
         (value,) = result.values(metric="abs_rel_error")
         assert value == 0.0
+
+    def test_real_valued_target_is_half_the_total(self):
+        # an integer-valued set rounds the half total; a real-valued one keeps it
+        family = SetSpec(family="uniform", n=1, low=0.0, high=1.0)
+        config = ApproxConfig(relation="ge")
+        result = error_experiment(family, [10], config, seeds=[3])
+        values = generate_set(replace(family, n=10, seed=3))
+        target = 0.5 * values.sum()
+        exact = exact_perfect_sum(values, target, "ge").total
+        approx = approximate_perfect_sum(values, target, config).total
+        (value,) = result.values(metric="abs_rel_error")
+        assert value == abs(approx - exact) / max(exact, 1)
 
     def test_empty_seeds_empty_result(self):
         result = error_experiment(self.FAMILY, [10], ApproxConfig(), seeds=[])
@@ -155,6 +170,24 @@ class TestDivergenceExperiment:
         assert result.metadata["reference"]["kind"]["3"] == "sampled"
         (jsd,) = result.values(k=3, method="normal")
         assert 0 <= jsd <= math.log(2)
+
+    def test_sampled_reference_shares_no_draws_with_the_kde(self, monkeypatch):
+        # the KDE spec sets no seed of its own, so it samples under the experiment's
+        values = generate_set(SetSpec(family="chi_square", n=60, seed=2, df=3))
+        drawn = {}
+        for module in (pipeline, simulation):
+            def keep(*args, _module=module, _draw=module.sample_subset_sums):
+                drawn[_module.__name__] = _draw(*args)
+                return drawn[_module.__name__]
+
+            monkeypatch.setattr(module, "sample_subset_sums", keep)
+        result = divergence_experiment(
+            values, [10], [{"method": "kde", "samples": 500}], seed=5, ref_samples=2000
+        )
+        assert result.metadata["reference"]["kind"]["10"] == "sampled"
+        kde, reference = drawn["perfectsum.pipeline"], drawn["perfectsum.simulation"]
+        assert (kde.size, reference.size) == (500, 2000)
+        assert np.intersect1d(kde, reference).size == 0
 
     def test_gapped_set_kde_beats_normal(self):
         rng = np.random.default_rng(0)
