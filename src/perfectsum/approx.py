@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from .moments import SetStatistics, _check_k, set_statistics, subset_sum_mean, subset_sum_variance
+from .moments import (
+    SetStatistics,
+    _check_k,
+    _subset_sum_variance,
+    set_statistics,
+    subset_sum_mean,
+)
 
 __all__ = [
     "NormalSum",
@@ -52,7 +58,14 @@ class NormalSum:
         return np.sqrt(self.variance)
 
     def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.sd)
+        z = np.asarray(x, dtype=np.float64) - self.mean
+        z = np.divide(z, self.sd, out=_owned(z))
+        return ndtr(z, out=_owned(z))
+
+
+def _owned(a):
+    """``a`` as the ``out`` of a ufunc that overwrites it: a float64 array just made, else None."""
+    return a if isinstance(a, np.ndarray) and a.dtype == np.float64 else None
 
 
 @dataclass(frozen=True)
@@ -157,8 +170,8 @@ def normal_sum_approx(stats: SetStatistics, k) -> NormalSum | DegenerateSum:
     For an array of sizes the result is one ``NormalSum`` over all of
     them, whose zero-variance entries ``probability_query`` reads as atoms.
     """
-    mean = subset_sum_mean(stats, k)
-    var = subset_sum_variance(stats, k)
+    mean = subset_sum_mean(stats, k)  # checks k for both moments
+    var = _subset_sum_variance(stats, k)
     if np.ndim(var) == 0 and var <= 0.0:
         return DegenerateSum(atom=mean)
     return NormalSum(mean=mean, variance=var)
@@ -276,9 +289,11 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
     mass at ``mean``, counted by the rule exact strata use: ``ge`` and
     ``le`` compare it to the target, ``eq`` asks whether it lies in the
     window (or equals the target when g = 0).
-    Works for any object with a ``cdf``; one without ``variance`` (a
-    kernel density model) is continuous. Returns a float for scalar
-    parameters and an array, one entry per stratum, for array ones.
+    Works for any object with a ``cdf`` that returns a new array (or a
+    float) per call, which the query overwrites with its complement, atoms
+    and clip; one without ``variance`` (a kernel density model) is
+    continuous. Returns a float for scalar parameters and an array, one
+    entry per stratum, for array ones.
     """
     if relation not in ("eq", "ge", "le"):
         raise ValueError(f"relation must be one of ('eq', 'ge', 'le'), got {relation!r}")
@@ -297,12 +312,18 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
         # atoms divide by a zero sd here; their entries are replaced below
         with np.errstate(divide="ignore", invalid="ignore"):
             if relation == "eq":
-                prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
+                prob = dist.cdf(target + g / 2)
+                prob = np.subtract(prob, dist.cdf(target - g / 2), out=_owned(prob))
             elif relation == "ge":
-                prob = 1.0 - dist.cdf(target - g / 2)
+                prob = dist.cdf(target - g / 2)
+                prob = np.subtract(1.0, prob, out=_owned(prob))
             else:
                 prob = dist.cdf(target + g / 2)
     if atom.any():
-        prob = np.where(atom, _relation_mask(dist.mean, target, relation, g), prob)
-    prob = np.clip(prob, 0.0, 1.0)
+        exact = _relation_mask(dist.mean, target, relation, g)
+        if _owned(prob) is not None and prob.shape == atom.shape:
+            np.copyto(prob, exact, where=atom)
+        else:
+            prob = np.where(atom, exact, prob)
+    prob = np.clip(prob, 0.0, 1.0, out=_owned(prob))
     return float(prob) if np.ndim(prob) == 0 else prob

@@ -1,11 +1,12 @@
 """Ground-truth engines for subset-sum counting.
 
-Two independent oracles are provided: full enumeration of all subsets
-(split-half, vectorized) and a dynamic program over (subset size,
-partial sum) for integer-valued sets. Both count subsets of every size
-k = 1..n whose sum compares to a target, with exact arbitrary-precision
-results. Enumeration cost is 2^n, so it is capped (default n <= 26);
-the DP extends much further whenever the sum range is small. One
+Two independent oracles are provided: enumeration of all subsets
+(meet in the middle over sorted halves) and a dynamic program over
+(subset size, partial sum) for integer-valued sets. Both count subsets
+of every size k = 1..n whose sum compares to a target, with exact
+arbitrary-precision results. Enumeration builds all 2^(n/2) sums of
+each half, so it is capped (default n <= 26); the DP extends much
+further whenever the sum range is small. One
 (k, sum) table builder serves the DP counts and the integer path of
 ``exact_sum_pmf``. It is banded: each element updates only the sums
 each row can reach. ``dp_counts`` also reads a size-k count off the
@@ -112,10 +113,14 @@ def enumerate_counts(
 ) -> CountBySize:
     """Count, for every subset size k, the k-subsets whose sum satisfies the relation.
 
-    All 2^n subsets are visited once, as pairs of half-set subsets with
-    vectorized inner sweeps, so the default cap of n = 26 runs in well
-    under a second. ``tolerance`` applies only to ``eq`` and means
-    ``|sum - target| <= tolerance``; the default 0 is exact float
+    Meet in the middle with sorted halves (Horowitz & Sahni, JACM 21(2),
+    1974): every subset is a pair of one subset of each half, and for each
+    distinct first-half sum s and each size class of the second half, the
+    second-half sums b whose float sum fl(s + b) satisfies the relation
+    form one run of that class's sorted distinct sums (see
+    ``_first_passing``). So the counts are those of testing all 2^n sums,
+    in O(2^(n/2) log 2^(n/2)) time. ``tolerance`` applies only to ``eq``
+    and means ``|sum - target| <= tolerance``; the default 0 is exact float
     equality, mainly useful for integer-valued data.
 
     Raises
@@ -138,22 +143,73 @@ def enumerate_counts(
     if n > _INT64_SAFE_N:
         raise InfeasibleError(f"enumeration not supported beyond n = {_INT64_SAFE_N}")
 
+    # each relation's passing b run from the first b where `start` holds
+    # to the first where `stop` holds; None is the class's end. A search
+    # for the guess rounded T - s finds each boundary within a few values.
+    if relation == "eq":
+        start = (lambda y: y - target >= -tolerance, target - tolerance, "left")
+        stop = (lambda y: y - target > tolerance, target + tolerance, "right")
+    elif relation == "ge":
+        start, stop = (lambda y: y >= target, target, "left"), None
+    else:
+        start, stop = None, (lambda y: y > target, target, "right")
+
     half = n // 2
     sums_a, sizes_a = _doubling_sums(arr[:half])
     sums_b, sizes_b = _doubling_sums(arr[half:])
+    # the first half as distinct (size, sum) pairs with their multiplicities
+    classes = [np.unique(sums_a[sizes_a == i], return_counts=True) for i in range(half + 1)]
+    sa = np.concatenate([sums for sums, _ in classes])
+    weight = np.concatenate([mult for _, mult in classes])
+    offsets = np.cumsum([0] + [sums.size for sums, _ in classes[:-1]])
+    # a half sum can overflow to +-inf, and fl(s + b) is NaN for opposite
+    # infinities, which no boundary search allows; those s test every b, and
+    # the search sees 0 in their place
+    finite = np.isfinite(sa)
+    direct = np.flatnonzero(~finite).tolist()
+    searched = np.where(finite, sa, 0.0)
 
     counts = np.zeros(n + 1, dtype=np.int64)
-    for s, z in zip(sums_a.tolist(), sizes_a.tolist()):
-        total = sums_b + s
-        if relation == "eq":
-            mask = np.abs(total - target) <= tolerance
-        elif relation == "ge":
-            mask = total >= target
-        else:
-            mask = total <= target
-        counts += np.bincount(sizes_b[mask] + z, minlength=n + 1)
+    for j in range(n - half + 1):
+        sb, mult = np.unique(sums_b[sizes_b == j], return_counts=True)
+        before = np.concatenate(([0], np.cumsum(mult)))  # b's below each distinct sum
+        lo = before[_first_passing(searched, sb, start)] if start else 0
+        hi = before[_first_passing(searched, sb, stop)] if stop else before[-1]
+        passing = hi - lo
+        for i in direct:
+            passing[i] = mult[_relation_holds(sa[i] + sb, target, relation, tolerance)].sum()
+        counts[j : j + half + 1] += np.add.reduceat(weight * passing, offsets)
 
     return CountBySize({k: int(counts[k]) for k in range(1, n + 1)})
+
+
+def _relation_holds(sums, target: float, relation: str, tolerance: float) -> np.ndarray:
+    if relation == "eq":
+        return np.abs(sums - target) <= tolerance
+    if relation == "ge":
+        return sums >= target
+    return sums <= target
+
+
+def _first_passing(sa: np.ndarray, sb: np.ndarray, test) -> np.ndarray:
+    """For each sum s of ``sa``, the first index i of the sorted ``sb`` where pred(fl(s + sb[i])).
+
+    ``test`` is (pred, x, side): ``pred`` must be False then True along
+    ``sb`` for every s, which any comparison of fl(s + b) with a constant
+    is, rounding being monotone, as long as no fl(s + b) is NaN. The
+    search starts where ``x - s`` would go on ``side`` and steps one
+    distinct value at a time towards the boundary, testing the predicate
+    itself, so rounding in ``x - s`` costs steps, never a miscount.
+    """
+    pred, x, side = test
+    i = np.searchsorted(sb, x - sa, side=side)
+    last = sb.size - 1
+    while True:
+        back = (i > 0) & pred(sa + sb[np.maximum(i - 1, 0)])
+        ahead = (i <= last) & ~pred(sa + sb[np.minimum(i, last)])
+        if not (back.any() or ahead.any()):
+            return i
+        i = i - back + ahead
 
 
 def _sums_of_size(arr: np.ndarray, k: int) -> np.ndarray:

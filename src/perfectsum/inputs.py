@@ -70,8 +70,9 @@ def _parse_json(text: str, path) -> np.ndarray:
 
 
 def _parse_csv(text: str, path) -> np.ndarray:
+    """One value per row, after an optional header; only a newline ends a row, as in text files."""
     values = []
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
+    for lineno, row in enumerate(csv.reader(text.split("\n")), start=1):
         cells = [c.strip() for c in row if c.strip()]
         if not cells:
             continue

@@ -56,6 +56,9 @@ _MODEL_FIELDS = ("low", "high", "df", "samples", "seed")
 # Hybrid mode never enumerates a stratum larger than this.
 EXACT_STRATUM_BUDGET = 1_000_000
 
+# auto_granularity reads the set in chunks of this many values
+_GCD_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ApproxConfig:
@@ -128,9 +131,12 @@ class ApproxReport:
     Stored columnar (``ks`` aligned with ``probabilities``, ``counts``,
     ``methods``, and each array of ``diagnostics``) so million-row reports
     stay cheap; ``rows()`` yields the per-k records. ``to_json_dict``
-    finds the rows it keeps with numpy masks, so its Python work grows
-    with the nonzero strata, not with n. ``meta`` echoes the full
-    invocation for reproducibility.
+    keeps the rows of positive probability by a numpy mask, and one
+    ``list.count`` tells whether any other row has a nonzero count. Only
+    then, when a probability underflowed to 0.0 below a count (an exact
+    report), does it walk the counts; otherwise its Python work grows with
+    the kept rows, not with n. ``meta`` echoes the full invocation for
+    reproducibility.
     """
 
     ks: np.ndarray
@@ -159,16 +165,20 @@ class ApproxReport:
         Any k inside [k_min, k_max] that is absent from ``per_k.k`` has
         probability 0 and count 0.
         """
+        counts = self.counts
         keep = self.probabilities > 0.0
-        # a count can be nonzero where the probability underflowed to 0.0
-        keep[list(compress(range(len(self.counts)), self.counts))] = True
         kept = np.flatnonzero(keep).tolist()
+        # a count can be nonzero where the probability underflowed to 0.0 (an
+        # exact report); only then are the counts scanned for the rows to add
+        if len(counts) - counts.count(0) != sum(1 for i in kept if counts[i]):
+            keep[list(compress(range(len(counts)), counts))] = True
+            kept = np.flatnonzero(keep).tolist()
         doc = dict(self.meta)
         doc["total"] = str(self.total)
         doc["per_k"] = {
             "k": self.ks[keep].tolist(),
             "probability": self.probabilities[keep].tolist(),
-            "count": [str(self.counts[i]) for i in kept],
+            "count": [str(counts[i]) for i in kept],
             "method_used": [self.methods[i] for i in kept],
         }
         terms = self.diagnostics
@@ -197,12 +207,20 @@ def auto_granularity(values) -> float:
     """Sum-lattice spacing: gcd of pairwise differences for integer sets, else 0.
 
     A constant integer set has no spacing information and falls back to 1.
+    The set is read in chunks of ``_GCD_CHUNK`` values. Every chunk is
+    checked for integrality, but the differences stop being reduced once
+    their gcd is 1: the whole set's gcd divides each chunk's, so it is 1 too.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    ints = exact_mod._integer_valued(arr)
-    if arr.size == 0 or ints is None:
+    chunks = [arr[i : i + _GCD_CHUNK] for i in range(0, arr.size, _GCD_CHUNK)]
+    if not chunks or any(np.count_nonzero(c != np.rint(c)) for c in chunks):
         return 0.0
-    g = int(np.gcd.reduce(np.abs(ints - ints[0])))
+    first = arr[:1].astype(np.int64)
+    g = 0
+    for chunk in chunks:
+        g = math.gcd(g, int(np.gcd.reduce(np.abs(chunk.astype(np.int64) - first))))
+        if g == 1:
+            break
     return float(g) if g > 0 else 1.0
 
 
@@ -266,7 +284,8 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     experiment, ``fit_kde``) keep the per-k sampler ``sample_subset_sums``.
     """
     exact_mod._check_query(target, config.relation)
-    arr = as_finite_array(values)
+    # set_statistics validates the values
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
     n = stats.n
     k_min = 1 if config.k_min is None else config.k_min

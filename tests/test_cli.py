@@ -302,6 +302,20 @@ class TestSimulateCommand:
         assert out == ""
         assert f"input error: config {message}" in err
 
+    @pytest.mark.parametrize("family", ["uniform", "discrete_uniform"])
+    @pytest.mark.parametrize("key", ["bins", "ref_samples"])
+    @pytest.mark.parametrize("value", ["x", True, 0, 2.5], ids=["str", "bool", "zero", "real"])
+    def test_count_keys_checked(self, capsys, tmp_path, family, key, value):
+        # integer sets ignore both keys, and a real set failed inside the experiment
+        config = {"experiment": "divergence", "set": {"family": family, "n": 6},
+                  "k_values": [2], "methods": ["normal"], key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert f"input error: config '{key}' must be a JSON integer >= 1" in err
+
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")

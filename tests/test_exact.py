@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perfectsum import (
     InfeasibleError,
@@ -136,6 +137,54 @@ class TestBinomial:
         assert binomial(26, 13) == acc
 
 
+def split_half_counts(values, target, relation, tolerance=0.0):
+    """Per-size counts of the subsets whose split-half float sum passes the relation.
+
+    A subset's sum is fl(a + b): a adds its members among the first n // 2
+    values in order, b its other members. That is the sum the enumerator
+    tests, so near-ties in the last bit (0.1 + 0.2 against 0.3) count the
+    same way in both.
+    """
+    n = len(values)
+    half = n // 2
+    counts = dict.fromkeys(range(1, n + 1), 0)
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        a = sum(values[i] for i in members if i < half)
+        b = sum(values[i] for i in members if i >= half)
+        y = b + a
+        if relation == "eq":
+            ok = abs(y - target) <= tolerance
+        elif relation == "ge":
+            ok = y >= target
+        else:
+            ok = y <= target
+        counts[len(members)] += ok
+    return counts
+
+
+# values that tie in the last bit: 0.1 + 0.2 > 0.3, and 0.3 - 0.1 < 0.2
+NEAR_TIES = [0.1, 0.2, 0.3, 0.6, -0.1, -0.3, 0.7, 1e-17, 1.0, 2.0]
+
+
+@st.composite
+def enumeration_cases(draw):
+    values = draw(st.one_of(
+        st.lists(st.sampled_from(NEAR_TIES), min_size=1, max_size=14),
+        st.lists(st.integers(-6, 12).map(float), min_size=1, max_size=14),
+        st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=14),
+    ))
+    n = len(values)
+    # a target that some subset reaches up to rounding, or any value
+    picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    reached = math.fsum(values[i] for i in picked)
+    target = draw(st.one_of(st.just(reached), st.sampled_from([0.3, 0.6, 1.0, -0.1]),
+                            st.floats(-20, 20, allow_nan=False)))
+    relation = draw(st.sampled_from(["eq", "ge", "le"]))
+    tolerance = draw(st.sampled_from([0.0, 1e-17, 1e-9, 0.25])) if relation == "eq" else 0.0
+    return values, target, relation, tolerance
+
+
 class TestEnumerateCounts:
     def test_eq_example(self):
         res = enumerate_counts([1, 2, 3, 4], 5, "eq")
@@ -178,6 +227,24 @@ class TestEnumerateCounts:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             enumerate_counts([1.0, math.nan], 1, "ge")
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=enumeration_cases())
+    def test_matches_split_half_oracle(self, case):
+        values, target, relation, tolerance = case
+        got = enumerate_counts(values, target, relation, tolerance).counts
+        assert got == split_half_counts(values, target, relation, tolerance)
+
+    @pytest.mark.parametrize("relation", ["eq", "ge", "le"])
+    @pytest.mark.parametrize("target", [0.0, 1e308, math.inf, -math.inf])
+    def test_overflowing_half_sums(self, relation, target):
+        # half sums reach +-inf, and opposite infinities add to NaN, which
+        # passes no relation; those sums are tested one by one
+        values = [1e308, 1e308, -1e308, 5.0, -1e308, -1e308, 1e308, 2.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = enumerate_counts(values, target, relation, 1.0 if relation == "eq" else 0.0)
+        want = split_half_counts(values, target, relation, 1.0 if relation == "eq" else 0.0)
+        assert got.counts == want
 
     def test_relation_partition(self, rng):
         # ge + le - eq covers each stratum exactly once

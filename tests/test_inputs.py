@@ -73,6 +73,17 @@ def test_crlf_csv_values(tmp_path):
     assert read_input(path).tolist() == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("separator", ["\x1c", "\x85", "\u2028"])
+def test_csv_rows_end_only_at_newlines(separator, tmp_path):
+    # str.splitlines() would also cut at these, reading the third line as two values
+    path = tmp_path / "s.csv"
+    path.write_text(f"v\n4\n1{separator}5\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 3: not a number"):
+        read_input(path)
+    path.write_text(f"v\n4\n1{separator}\n5\n", encoding="utf-8")
+    assert read_input(path).tolist() == [4.0, 1.0, 5.0]
+
+
 def test_json_object_extra_keys_ignored(tmp_path):
     path = tmp_path / "vals.json"
     path.write_text('{"values": [1, 2.5], "name": "toy", "family": "uniform", "note": 3}')

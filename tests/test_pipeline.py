@@ -18,7 +18,13 @@ from perfectsum import (
     exact_perfect_sum,
     set_statistics,
 )
-from perfectsum.pipeline import EXACT_STRATUM_BUDGET, _build_distribution, _round_half_even
+from perfectsum import pipeline as pipeline_mod
+from perfectsum.pipeline import (
+    _GCD_CHUNK,
+    EXACT_STRATUM_BUDGET,
+    _build_distribution,
+    _round_half_even,
+)
 
 from conftest import brute_counts
 
@@ -461,6 +467,23 @@ class TestAutoGranularity:
     def test_empty_set(self):
         assert auto_granularity([]) == 0.0
 
+    def test_gcd_one_inside_the_first_chunk(self):
+        values = 6.0 * np.arange(3 * _GCD_CHUNK)
+        values[1] = 7.0
+        assert auto_granularity(values) == 1.0
+        # the reduction stops at 1, but every chunk is still checked for integers
+        values[-1] = 0.5
+        assert auto_granularity(values) == 0.0
+
+    def test_one_odd_value_after_the_first_chunk(self):
+        values = 2.0 * np.random.default_rng(3).integers(0, 50, 3 * _GCD_CHUNK)
+        assert auto_granularity(values) == 2.0
+        values[_GCD_CHUNK + 5] += 1
+        assert auto_granularity(values) == 1.0
+
+    def test_large_constant_set(self):
+        assert auto_granularity(np.full(2 * _GCD_CHUNK + 3, -4.0)) == 1.0
+
 
 @pytest.mark.parametrize(
     "count",
@@ -575,6 +598,21 @@ class TestReportSerialization:
         # k = 8 has count 3 at probability 0.0; k = 7 has count 0 at p > 0
         assert per_k["k"] == [4, 7, 8, 10]
         assert per_k["count"] == ["14", "0", "3", "9"]
+
+    def test_counts_not_scanned_when_every_count_has_a_probability(self, monkeypatch):
+        report = ApproxReport(
+            ks=np.arange(1, 7, dtype=np.int64),
+            probabilities=np.array([0.0, 0.25, 1e-300, 0.0, 0.5, 0.0]),
+            counts=[0, 14, 0, 0, 9, 0],
+            methods=["normal"] * 6,
+            total=23,
+        )
+        # the full scan of the counts is only for a count at probability 0.0
+        monkeypatch.setattr(pipeline_mod, "compress", None)
+        per_k = report.to_json_dict()["per_k"]
+        assert per_k == self._kept_columns(report)
+        assert per_k["k"] == [2, 3, 5]
+        assert per_k["count"] == ["14", "0", "9"]
 
     def test_rows_iterator_covers_all_k(self):
         report = exact_perfect_sum([1, 2, 3, 4], 5, "eq")
