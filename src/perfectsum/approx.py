@@ -58,14 +58,7 @@ class NormalSum:
         return np.sqrt(self.variance)
 
     def cdf(self, x):
-        z = np.asarray(x, dtype=np.float64) - self.mean
-        z = np.divide(z, self.sd, out=_owned(z))
-        return ndtr(z, out=_owned(z))
-
-
-def _owned(a):
-    """``a`` as the ``out`` of a ufunc that overwrites it: a float64 array just made, else None."""
-    return a if isinstance(a, np.ndarray) and a.dtype == np.float64 else None
+        return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.sd)
 
 
 @dataclass(frozen=True)
@@ -289,11 +282,9 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
     mass at ``mean``, counted by the rule exact strata use: ``ge`` and
     ``le`` compare it to the target, ``eq`` asks whether it lies in the
     window (or equals the target when g = 0).
-    Works for any object with a ``cdf`` that returns a new array (or a
-    float) per call, which the query overwrites with its complement, atoms
-    and clip; one without ``variance`` (a kernel density model) is
-    continuous. Returns a float for scalar parameters and an array, one
-    entry per stratum, for array ones.
+    Works for any object with a ``cdf``; one without ``variance`` (a
+    kernel density model) is continuous. Returns a float for scalar
+    parameters and an array, one entry per stratum, for array ones.
     """
     if relation not in ("eq", "ge", "le"):
         raise ValueError(f"relation must be one of ('eq', 'ge', 'le'), got {relation!r}")
@@ -312,18 +303,12 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
         # atoms divide by a zero sd here; their entries are replaced below
         with np.errstate(divide="ignore", invalid="ignore"):
             if relation == "eq":
-                prob = dist.cdf(target + g / 2)
-                prob = np.subtract(prob, dist.cdf(target - g / 2), out=_owned(prob))
+                prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
             elif relation == "ge":
-                prob = dist.cdf(target - g / 2)
-                prob = np.subtract(1.0, prob, out=_owned(prob))
+                prob = 1.0 - dist.cdf(target - g / 2)
             else:
                 prob = dist.cdf(target + g / 2)
     if atom.any():
-        exact = _relation_mask(dist.mean, target, relation, g)
-        if _owned(prob) is not None and prob.shape == atom.shape:
-            np.copyto(prob, exact, where=atom)
-        else:
-            prob = np.where(atom, exact, prob)
-    prob = np.clip(prob, 0.0, 1.0, out=_owned(prob))
+        prob = np.where(atom, _relation_mask(dist.mean, target, relation, g), prob)
+    prob = np.clip(prob, 0.0, 1.0)
     return float(prob) if np.ndim(prob) == 0 else prob

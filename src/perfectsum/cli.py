@@ -70,8 +70,6 @@ _SIM_ARRAYS = {
     "n_values": ((int,), "integers"), "seeds": ((int,), "integers"),
     "k_values": ((int,), "integers"), "methods": ((str, dict), "method names or objects"),
 }
-# the simulate config keys that hold a count, a JSON integer >= 1
-_SIM_COUNTS = ("bins", "ref_samples")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,9 +257,6 @@ def _cmd_simulate(args) -> int:
         # type(), not isinstance(): a bool, JSON true or false, is no integer here
         if not isinstance(items, list) or any(type(item) not in types for item in items):
             raise InputError(f"config {key!r} must be a JSON array of {what}")
-    for key in _SIM_COUNTS:
-        if key in config and (type(config[key]) is not int or config[key] < 1):
-            raise InputError(f"config {key!r} must be a JSON integer >= 1")
     name = config.get("name", kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -113,19 +113,8 @@ def subset_sum_variance(stats: SetStatistics, k):
 
 
 def _subset_sum_variance(stats: SetStatistics, k):
-    """``subset_sum_variance`` without the range check on ``k``.
-
-    For an array the steps write into the two arrays they allocate; the
-    operations and their order, hence every bit, are those of the formula.
-    """
-    if np.ndim(k) == 0:
-        return k * stats.variance * (1.0 - (k - 1) / max(stats.n - 1, 1))
-    var = np.multiply(k, stats.variance)
-    shrink = np.subtract(k, 1.0)
-    shrink /= max(stats.n - 1, 1)
-    np.subtract(1.0, shrink, out=shrink)
-    var *= shrink
-    return var
+    """``subset_sum_variance`` without the range check on ``k``."""
+    return k * stats.variance * (1.0 - (k - 1) / max(stats.n - 1, 1))
 
 
 def pair_covariance(stats: SetStatistics) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -292,8 +293,12 @@ def divergence_experiment(
     ``samples``, ``seed``), e.g. ``{"method": "chi_square", "df": 3}``;
     the experiment ``seed`` is the default of each method's ``seed``. Any
     other key, or a family without its parameters, raises ValueError
-    before any reference is built.
+    before any reference is built, as do ``bins`` or ``ref_samples`` that
+    are not integers >= 1 (a bool is no integer here).
     """
+    for name, count in (("bins", bins), ("ref_samples", ref_samples)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
     n = stats.n

@@ -178,6 +178,18 @@ class TestEvaluateCommand:
         divergence_experiment(read_input(vals4), [1, 3], methods).to_csv(path)
         assert out == path.read_bytes().decode()
 
+    @pytest.mark.parametrize("option", ["--bins", "--ref-samples"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_options_checked(self, capsys, tmp_path, option, value):
+        # a real set bins its reference: --bins 0 divided by zero, -3 gave g = 1e-12
+        path = tmp_path / "reals.txt"
+        path.write_text("0.5\n1.25\n2.0\n3.5\n")
+        code, out, err = run_cli(capsys, "evaluate", str(path), "--k", "2", f"{option}={value}")
+        assert code == 1
+        assert out == ""
+        name = option[2:].replace("-", "_")
+        assert f"input error: {name} must be an integer >= 1, got {value}" in err
+
     def test_unknown_method_rejected(self, capsys, vals4):
         code, _, err = run_cli(capsys, "evaluate", vals4, "--k", "1", "--methods", "pareto")
         assert code == 1
@@ -314,7 +326,7 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
         assert out == ""
-        assert f"input error: config '{key}' must be a JSON integer >= 1" in err
+        assert f"input error: {key} must be an integer >= 1, got {value!r}" in err
 
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
