@@ -8,12 +8,7 @@ gaps) on each sum, and captures the gaps directly.
 
 import numpy as np
 
-from perfectsum import (
-    divergence_experiment,
-    fit_kde,
-    kde_cdf,
-    kde_density,
-)
+from perfectsum import divergence_experiment, fit_kde
 
 rng = np.random.default_rng(0)
 values = np.concatenate([rng.uniform(0, 10, 10), rng.uniform(1000, 1010, 10)])
@@ -26,11 +21,11 @@ print(f"fitted bandwidth h = {model.bandwidth:.4f} from {model.m} sampled 2-subs
 # C(10,2) = 45 both-small, 10*10 = 100 mixed, 45 both-large, of 190 total.
 print("\ncluster masses under the KDE (expected 0.237 / 0.526 / 0.237):")
 for name, lo, hi in (("both small", -50, 500), ("mixed", 500, 1500), ("both large", 1500, 2500)):
-    mass = kde_cdf(model, hi) - kde_cdf(model, lo)
+    mass = model.cdf(hi) - model.cdf(lo)
     print(f"  {name:<10} ({lo:>5}..{hi:<5}): {mass:.3f}")
 mode = float(np.median(model.sums))
-print(f"density at the sample median ({mode:.1f}): {kde_density(model, mode):.4f}")
-print(f"density in the empty gap (500.0): {kde_density(model, 500.0)}")
+print(f"density at the sample median ({mode:.1f}): {model.density(mode):.4f}")
+print(f"density in the empty gap (500.0): {model.density(500.0)}")
 
 # The divergence table quantifies the win over the normal family.
 result = divergence_experiment(

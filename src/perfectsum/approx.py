@@ -4,8 +4,9 @@ The workhorse is the normal family with the finite-population variance
 correction. The Irwin-Hall and chi-square families model the sum of k
 i.i.d. draws instead (no finite-population correction): they are meant
 for sets that are themselves i.i.d. samples of a known continuous law.
-Every family is a frozen dataclass with a vectorized ``cdf``, a ``mean``,
-a ``variance`` (zero marks an atom at ``mean``) and a ``kind`` tag.
+Each family is one frozen dataclass that checks its own parameters and
+has a vectorized ``cdf``, a ``mean`` and a ``variance``. A point mass, such
+as the k = n subset sum, is a ``NormalSum`` of variance zero.
 A Berry-Esseen style diagnostic quantifies (up to an absolute constant)
 how far the standardized subset sum can be from the standard normal.
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
+from .exact import RELATIONS
 from .moments import (
     SetStatistics,
     _check_k,
@@ -30,11 +32,8 @@ __all__ = [
     "NormalSum",
     "IrwinHallSum",
     "ChiSquareSum",
-    "DegenerateSum",
     "BerryEsseenTerms",
     "normal_sum_approx",
-    "irwin_hall_sum",
-    "chi_square_sum",
     "berry_esseen_terms",
     "probability_query",
 ]
@@ -47,37 +46,36 @@ IRWIN_HALL_EXACT_MAX_K = 40
 
 @dataclass(frozen=True)
 class NormalSum:
-    """Normal law; ``mean`` and ``variance`` are floats or equal-shape arrays."""
+    """Normal law; ``mean`` and ``variance`` are floats or equal-shape arrays.
+
+    A zero variance is a point mass at ``mean``: its ``cdf`` steps from 0
+    to 1 at ``x >= mean``.
+    """
 
     mean: float
     variance: float
-    kind: str = "normal"
 
     @property
     def sd(self):
         return np.sqrt(self.variance)
 
     def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.sd)
+        x = np.asarray(x, dtype=np.float64)
+        # a zero sd sends x = mean to NaN and the rest to -inf or +inf; the
+        # step is written over the zero-variance entries alone
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = ndtr((x - self.mean) / self.sd)
+        point = np.asarray(self.variance) <= 0.0
+        if point.any():
+            x, mean, point = np.broadcast_arrays(x, self.mean, point)
+            out = np.asarray(out)
+            out[point] = x[point] >= mean[point]
+        return out
 
 
-@dataclass(frozen=True)
-class DegenerateSum:
-    """Point mass; the k = n subset sum, or any zero-variance case."""
-
-    atom: float
-    kind: str = "degenerate"
-
-    @property
-    def mean(self) -> float:
-        return self.atom
-
-    @property
-    def variance(self) -> float:
-        return 0.0
-
-    def cdf(self, x):
-        return np.where(np.asarray(x, dtype=np.float64) >= self.atom, 1.0, 0.0)
+def _check_sizes(k) -> None:
+    if not np.all(np.asarray(k) >= 1):
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,11 @@ class IrwinHallSum:
     k: int
     low: float
     high: float
-    kind: str = "irwin_hall"
+
+    def __post_init__(self):
+        _check_sizes(self.k)
+        if not self.low < self.high:
+            raise ValueError(f"need low < high, got [{self.low}, {self.high}]")
 
     @property
     def mean(self):
@@ -136,7 +138,11 @@ class ChiSquareSum:
 
     k: int
     df: float
-    kind: str = "chi_square_sum"
+
+    def __post_init__(self):
+        _check_sizes(self.k)
+        if not self.df > 0:
+            raise ValueError(f"df must be > 0, got {self.df}")
 
     @property
     def dof(self):
@@ -155,40 +161,15 @@ class ChiSquareSum:
         return gammainc(self.dof / 2.0, np.maximum(x, 0.0) / 2.0)
 
 
-def normal_sum_approx(stats: SetStatistics, k) -> NormalSum | DegenerateSum:
+def normal_sum_approx(stats: SetStatistics, k) -> NormalSum:
     """Normal approximation of the size-k subset sum with corrected variance.
 
     Mean and variance come from the exact subset-sum moment formulas; a
-    zero variance (k = n, or a constant set) yields the degenerate kind.
-    For an array of sizes the result is one ``NormalSum`` over all of
-    them, whose zero-variance entries ``probability_query`` reads as atoms.
+    zero variance (k = n, or a constant set) is a point mass at the mean.
+    ``k`` is an int or an array of sizes.
     """
     mean = subset_sum_mean(stats, k)  # checks k for both moments
-    var = _subset_sum_variance(stats, k)
-    if np.ndim(var) == 0 and var <= 0.0:
-        return DegenerateSum(atom=mean)
-    return NormalSum(mean=mean, variance=var)
-
-
-def _check_sizes(k) -> None:
-    if not np.all(np.asarray(k) >= 1):
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
-def irwin_hall_sum(k, low: float, high: float) -> IrwinHallSum:
-    """Distribution of the sum of k i.i.d. uniforms on [low, high]; k an int or an array."""
-    _check_sizes(k)
-    if not low < high:
-        raise ValueError(f"need low < high, got [{low}, {high}]")
-    return IrwinHallSum(k=k, low=low, high=high)
-
-
-def chi_square_sum(k, df: float) -> ChiSquareSum:
-    """Distribution of the sum of k i.i.d. chi-square(df) variables; k an int or an array."""
-    _check_sizes(k)
-    if not df > 0:
-        raise ValueError(f"df must be > 0, got {df}")
-    return ChiSquareSum(k=k, df=float(df))
+    return NormalSum(mean=mean, variance=_subset_sum_variance(stats, k))
 
 
 @dataclass(frozen=True)
@@ -271,6 +252,11 @@ def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> 
     return sums <= target
 
 
+def _check_granularity(g: float) -> None:
+    if not 0 <= g < math.inf:
+        raise ValueError(f"granularity must be >= 0 and finite, got {g}")
+
+
 def probability_query(dist, target: float, relation: str, granularity: float = 0.0):
     """P(sum {=, >=, <=} target) under an approximating distribution.
 
@@ -286,10 +272,9 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
     kernel density model) is continuous. Returns a float for scalar
     parameters and an array, one entry per stratum, for array ones.
     """
-    if relation not in ("eq", "ge", "le"):
-        raise ValueError(f"relation must be one of ('eq', 'ge', 'le'), got {relation!r}")
-    if granularity < 0:
-        raise ValueError(f"granularity must be >= 0, got {granularity}")
+    if relation not in RELATIONS:
+        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
+    _check_granularity(granularity)
 
     atom = np.asarray(getattr(dist, "variance", 1.0)) <= 0.0
     g = granularity
@@ -300,14 +285,12 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
                 "eq query on a continuous distribution needs granularity > 0; "
                 "an exact continuous sum has probability 0"
             )
-        # atoms divide by a zero sd here; their entries are replaced below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if relation == "eq":
-                prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
-            elif relation == "ge":
-                prob = 1.0 - dist.cdf(target - g / 2)
-            else:
-                prob = dist.cdf(target + g / 2)
+        if relation == "eq":
+            prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
+        elif relation == "ge":
+            prob = 1.0 - dist.cdf(target - g / 2)
+        else:
+            prob = dist.cdf(target + g / 2)
     if atom.any():
         prob = np.where(atom, _relation_mask(dist.mean, target, relation, g), prob)
     prob = np.clip(prob, 0.0, 1.0)

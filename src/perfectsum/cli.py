@@ -94,12 +94,9 @@ def _granularity(text: str):
     if text == "auto":
         return None
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"granularity must be 'auto' or a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("granularity must be >= 0")
-    return value
 
 
 def _int_list(text: str) -> list[int]:

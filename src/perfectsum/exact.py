@@ -90,6 +90,11 @@ def _check_query(target: float, relation: str) -> None:
         raise ValueError(f"target must be a number, got {target}")
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance}")
+
+
 def _doubling_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums and sizes of all 2^m subsets of ``values``, built incrementally."""
     m = len(values)
@@ -128,11 +133,11 @@ def enumerate_counts(
     InfeasibleError
         If ``len(values) > cap``.
     ValueError
-        On non-finite values, a NaN target, a bad relation, or tolerance < 0.
+        On non-finite values, a NaN target, a bad relation, or a tolerance
+        that is negative or not finite.
     """
     _check_query(target, relation)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    _check_tolerance(tolerance)
     arr = as_finite_array(values)
     n = arr.size
     if n > cap:

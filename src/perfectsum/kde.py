@@ -4,8 +4,9 @@ The estimator draws many independent size-k subsets (each sampled
 without replacement inside the subset, with replacement across draws),
 keeps their sums, and places a uniform kernel of half-width h on each
 sum. The bandwidth rule is the 10% quantile of the consecutive gaps of
-the sorted sample. Density and CDF are exact for the tophat mixture, so
-the model integrates to 1 with no quadrature.
+the sorted sample. The fitted ``KdeModel`` evaluates its ``density`` and
+``cdf`` exactly for the tophat mixture, so the model integrates to 1 with
+no quadrature.
 
 There are two samplers, both exact and seeded through numpy's PCG64
 generator, so a fixed seed reproduces the model bit for bit:
@@ -43,8 +44,6 @@ __all__ = [
     "sample_subset_sums",
     "fit_bandwidth",
     "fit_kde",
-    "kde_density",
-    "kde_cdf",
 ]
 
 DEFAULT_KDE_SAMPLES = 10_000
@@ -198,7 +197,6 @@ class KdeModel:
 
     sums: np.ndarray
     bandwidth: float
-    kind: str = "kde"
     _sorted: np.ndarray = field(init=False, repr=False)
     _prefix: np.ndarray = field(init=False, repr=False)
 
@@ -215,43 +213,38 @@ class KdeModel:
     def m(self) -> int:
         return self.sums.size
 
-    def cdf(self, x):
-        return kde_cdf(self, x)
+    def density(self, t):
+        """Density (1/(m*h)) * sum_i K((t - s_i)/h) with the tophat K = 1/2 on |u| <= 1.
+
+        Only samples within h of t contribute, each exactly 1/(2*m*h); the
+        sorted-sample search makes single-point evaluation O(log m).
+        """
+        t = np.asarray(t, dtype=np.float64)
+        h = self.bandwidth
+        lo = np.searchsorted(self._sorted, t - h, side="left")
+        hi = np.searchsorted(self._sorted, t + h, side="right")
+        dens = (hi - lo) / (2.0 * self.m * h)
+        return float(dens) if t.ndim == 0 else dens
+
+    def cdf(self, t):
+        """Exact CDF of the tophat mixture: mean of clamp((t - s_i + h)/(2h), 0, 1).
+
+        Samples fully below t - h contribute 1; those inside (t - h, t + h)
+        contribute their linear ramp, evaluated with prefix sums.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        h = self.bandwidth
+        lo = np.searchsorted(self._sorted, t - h, side="left")
+        hi = np.searchsorted(self._sorted, t + h, side="right")
+        window_sum = self._prefix[hi] - self._prefix[lo]
+        window_cnt = hi - lo
+        ramp = (window_cnt * (t + h) - window_sum) / (2.0 * h)
+        val = (lo + ramp) / self.m
+        val = np.clip(val, 0.0, 1.0)
+        return float(val) if t.ndim == 0 else val
 
 
 def fit_kde(values, k: int, m: int = DEFAULT_KDE_SAMPLES, seed: int = 0) -> KdeModel:
     """Sample m subset sums and fit the tophat model with the quantile bandwidth."""
     sums = sample_subset_sums(values, k, m, seed)
     return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
-
-
-def kde_density(model: KdeModel, t):
-    """Density (1/(m*h)) * sum_i K((t - s_i)/h) with the tophat K = 1/2 on |u| <= 1.
-
-    Only samples within h of t contribute, each exactly 1/(2*m*h); the
-    sorted-sample search makes single-point evaluation O(log m).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    h = model.bandwidth
-    lo = np.searchsorted(model._sorted, t - h, side="left")
-    hi = np.searchsorted(model._sorted, t + h, side="right")
-    dens = (hi - lo) / (2.0 * model.m * h)
-    return float(dens) if t.ndim == 0 else dens
-
-
-def kde_cdf(model: KdeModel, t):
-    """Exact CDF of the tophat mixture: mean of clamp((t - s_i + h)/(2h), 0, 1).
-
-    Samples fully below t - h contribute 1; those inside (t - h, t + h)
-    contribute their linear ramp, evaluated with prefix sums.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    h = model.bandwidth
-    lo = np.searchsorted(model._sorted, t - h, side="left")
-    hi = np.searchsorted(model._sorted, t + h, side="right")
-    window_sum = model._prefix[hi] - model._prefix[lo]
-    window_cnt = hi - lo
-    ramp = (window_cnt * (t + h) - window_sum) / (2.0 * h)
-    val = (lo + ramp) / model.m
-    val = np.clip(val, 0.0, 1.0)
-    return float(val) if t.ndim == 0 else val

@@ -21,11 +21,12 @@ import numpy as np
 from . import exact as exact_mod
 from .approx import (
     BerryEsseenTerms,
-    DegenerateSum,
+    ChiSquareSum,
+    IrwinHallSum,
+    NormalSum,
+    _check_granularity,
     _relation_mask,
     berry_esseen_terms,
-    chi_square_sum,
-    irwin_hall_sum,
     normal_sum_approx,
     probability_query,
 )
@@ -70,8 +71,9 @@ class ApproxConfig:
     enumeration when C(n, k) stays within the stratum budget; the normal
     family is weakest at small k, where few large strata dominate.
     Irwin-Hall needs ``low`` and ``high``, chi-square ``df``, KDE at least
-    2 ``samples``. The field order is the key order of the report's
-    ``meta`` echo.
+    2 ``samples``; a ``low``, ``high`` or ``df`` that is set must be finite,
+    as must a granularity, which is also >= 0. The field order is the key
+    order of the report's ``meta`` echo.
     """
 
     relation: str = "ge"
@@ -94,6 +96,12 @@ class ApproxConfig:
             raise ValueError(f"relation must be one of {exact_mod.RELATIONS}")
         if self.exact_small_k < 0:
             raise ValueError("exact_small_k must be >= 0")
+        if self.granularity is not None:
+            _check_granularity(float(self.granularity))
+        for name in ("low", "high", "df"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(float(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.method == "irwin_hall" and (self.low is None or self.high is None):
             raise ValueError("irwin_hall method needs low and high bounds")
         if self.method == "chi_square" and self.df is None:
@@ -243,13 +251,13 @@ def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
     """Model of the size-k sum; k is one size or, for a parametric family, an array of sizes."""
     if np.ndim(k) == 0 and k == stats.n:
         # only one subset: the set itself
-        return DegenerateSum(atom=np.sum(values))
+        return NormalSum(np.sum(values), 0.0)
     if config.method == "normal":
         return normal_sum_approx(stats, k)
     if config.method == "irwin_hall":
-        return irwin_hall_sum(k, config.low, config.high)
+        return IrwinHallSum(k, config.low, config.high)
     if config.method == "chi_square":
-        return chi_square_sum(k, config.df)
+        return ChiSquareSum(k, config.df)
     # kde for one stratum alone (the divergence experiment): a per-k seed
     # derived from (master seed, k), so each stratum's sample is the same
     # whichever other strata are asked for
@@ -295,27 +303,29 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     if config.exact_small_k > k_max:
         raise ValueError("exact_small_k must be <= k_max")
     g = auto_granularity(arr) if config.granularity is None else float(config.granularity)
-    if g < 0:
-        raise ValueError(f"granularity must be >= 0, got {g}")
 
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     methods = [config.method] * ks.size
 
+    # the models cover k_min..last; k = n, if asked for, is set below
+    last = min(k_max, n - 1)
     if config.method == "kde":
         probs = np.empty(ks.size, dtype=np.float64)
-        last = min(k_max, n - 1)
         samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
         for i, sums in enumerate(samples):
             dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
             probs[i] = probability_query(dist, target, config.relation, g)
-    elif k_min < n:
-        # one query for every stratum, k = n replaced below; the sizes
-        # become float64 once here rather than in each step of the moment
-        # formulas
-        dist = _build_distribution(arr, stats, ks.astype(np.float64), config)
-        probs = probability_query(dist, target, config.relation, g)
     else:
-        probs = np.empty(1)
+        # one query for every modelled stratum (none when k_min = n); the
+        # sizes are float64 once here rather than in each step of the
+        # moment formulas. probs is allocated after the model is dropped,
+        # so the copy does not raise the query's peak memory
+        sizes = np.arange(k_min, last + 1, dtype=np.float64)
+        head = probability_query(
+            _build_distribution(arr, stats, sizes, config), target, config.relation, g
+        )
+        probs = np.empty(ks.size, dtype=np.float64)
+        probs[: sizes.size] = head
     if k_max == n:
         probs[-1] = _relation_mask(arr.sum(), target, config.relation, g)
 
@@ -386,12 +396,12 @@ def exact_perfect_sum(
         When the instance exceeds the chosen engine's budget; the
         approximate mode has no such cap.
     ValueError
-        On a negative tolerance, a nonzero one with the dp engine, or a NaN target.
+        On a tolerance that is negative or not finite, a nonzero one with
+        the dp engine, or a NaN target.
     """
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"engine must be auto, enumerate or dp, got {engine!r}")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    exact_mod._check_tolerance(tolerance)
     if engine == "dp" and tolerance != 0.0:
         raise ValueError(f"the dp engine counts exact sums; tolerance must be 0, got {tolerance}")
     arr = as_finite_array(values)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .approx import _check_granularity
 from .evaluation import DiscretePmf, discretize, js_divergence
 from .exact import (
     DEFAULT_ENUMERATION_CAP,
@@ -294,11 +295,14 @@ def divergence_experiment(
     the experiment ``seed`` is the default of each method's ``seed``. Any
     other key, or a family without its parameters, raises ValueError
     before any reference is built, as do ``bins`` or ``ref_samples`` that
-    are not integers >= 1 (a bool is no integer here).
+    are not integers >= 1 (a bool is no integer here) and a granularity
+    that is negative or not finite.
     """
     for name, count in (("bins", bins), ("ref_samples", ref_samples)):
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    if granularity is not None:
+        _check_granularity(float(granularity))
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
     n = stats.n

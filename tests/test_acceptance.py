@@ -17,22 +17,20 @@ import pytest
 
 from perfectsum import (
     ApproxConfig,
-    DegenerateSum,
+    ChiSquareSum,
     DiscretePmf,
+    IrwinHallSum,
     NormalSum,
     SetSpec,
     approximate_perfect_sum,
     binomial,
-    chi_square_sum,
     divergence_experiment,
     dp_counts,
     enumerate_counts,
     error_experiment,
     fit_kde,
     generate_set,
-    irwin_hall_sum,
     js_divergence,
-    kde_cdf,
     normal_sum_approx,
     probability_query,
     set_statistics,
@@ -216,9 +214,9 @@ def test_criterion_6_property_suites():
     # complement identity ge + le - eq = 1 within 1e-9
     dists = [
         NormalSum(3.0, 2.5),
-        irwin_hall_sum(5, 0, 4),
-        chi_square_sum(3, 2),
-        DegenerateSum(6.0),
+        IrwinHallSum(5, 0, 4),
+        ChiSquareSum(3, 2),
+        NormalSum(6.0, 0.0),
         fit_kde([1, 4, 2, 8, 5], 2, m=400, seed=1),
     ]
     for dist in dists:
@@ -231,14 +229,14 @@ def test_criterion_6_property_suites():
     # CDF monotonicity on grids
     grid = np.linspace(-10, 40, 300)
     for dist in dists:
-        vals = np.asarray(dist.cdf(grid) if hasattr(dist, "cdf") else kde_cdf(dist, grid))
+        vals = np.asarray(dist.cdf(grid))
         assert np.all(np.diff(vals) >= -1e-15)
 
     # KDE normalization is exact
     model = fit_kde(list(range(12)), 4, m=800, seed=2)
     lo = model.sums.min() - model.bandwidth - 1
     hi = model.sums.max() + model.bandwidth + 1
-    assert kde_cdf(model, hi) - kde_cdf(model, lo) == 1.0
+    assert model.cdf(hi) - model.cdf(lo) == 1.0
 
     # pipeline count bounds
     values = rng.integers(0, 21, 13).tolist()
@@ -248,12 +246,11 @@ def test_criterion_6_property_suites():
             assert 0 <= c <= binomial(13, k)
         assert report.total <= 2**13 - 1
 
-    # degenerate k = n handling: zero variance, single atom
+    # k = n handling: zero variance, a point mass at the mean
     stats = set_statistics(values)
     dist = normal_sum_approx(stats, 13)
-    assert dist.kind == "degenerate"
     assert dist.variance == 0.0
-    assert dist.atom == subset_sum_mean(stats, 13)
+    assert dist.mean == subset_sum_mean(stats, 13)
     assert subset_sum_variance(stats, 13) == 0.0
     _report(6, "property suites", time.perf_counter() - t0)
 

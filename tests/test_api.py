@@ -17,11 +17,10 @@ PUBLIC = {
     "InfeasibleError", "CountBySize", "binomial", "enumerate_counts", "dp_counts",
     "exact_sum_pmf",
     # approx
-    "NormalSum", "IrwinHallSum", "ChiSquareSum", "DegenerateSum", "BerryEsseenTerms",
-    "normal_sum_approx", "irwin_hall_sum", "chi_square_sum", "berry_esseen_terms",
-    "probability_query",
+    "NormalSum", "IrwinHallSum", "ChiSquareSum", "BerryEsseenTerms", "normal_sum_approx",
+    "berry_esseen_terms", "probability_query",
     # kde
-    "KdeModel", "sample_subset_sums", "fit_bandwidth", "fit_kde", "kde_density", "kde_cdf",
+    "KdeModel", "sample_subset_sums", "fit_bandwidth", "fit_kde",
     # evaluation
     "DiscretePmf", "discretize", "js_divergence",
     # pipeline
@@ -36,7 +35,7 @@ PUBLIC = {
 
 
 def test_package_exports_the_expected_names():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 39
     assert sorted(perfectsum.__all__) == sorted(PUBLIC)
 
 

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfectsum import (
-    DegenerateSum,
+    ChiSquareSum,
+    IrwinHallSum,
     NormalSum,
     berry_esseen_terms,
-    chi_square_sum,
     fit_kde,
-    irwin_hall_sum,
     normal_sum_approx,
     probability_query,
     set_statistics,
@@ -27,7 +26,6 @@ class TestNormalSumApprox:
     def test_moments_shared_with_formulas(self):
         stats = set_statistics([1, 2, 3, 4])
         dist = normal_sum_approx(stats, 2)
-        assert dist.kind == "normal"
         # bit-for-bit the same numbers as the moment formulas
         assert dist.mean == subset_sum_mean(stats, 2)
         assert dist.variance == subset_sum_variance(stats, 2)
@@ -35,13 +33,15 @@ class TestNormalSumApprox:
     def test_degenerate_at_full_size(self):
         stats = set_statistics([1, 2, 3, 4])
         dist = normal_sum_approx(stats, 4)
-        assert dist.kind == "degenerate"
-        assert dist.atom == 10.0
+        assert isinstance(dist, NormalSum)
+        assert dist.mean == 10.0
         assert dist.variance == 0.0
 
     def test_degenerate_for_constant_set(self):
         stats = set_statistics([2, 2, 2])
-        assert normal_sum_approx(stats, 1).kind == "degenerate"
+        assert normal_sum_approx(stats, 1).variance == 0.0
+        dists = normal_sum_approx(stats, np.array([1.0, 2.0, 3.0]))
+        assert dists.variance.tolist() == [0.0, 0.0, 0.0]
 
     def test_mass_against_quadrature(self):
         dist = normal_sum_approx(set_statistics([1, 2, 3, 4]), 2)
@@ -56,22 +56,22 @@ class TestNormalSumApprox:
 
 class TestIrwinHall:
     def test_k1_is_uniform(self):
-        dist = irwin_hall_sum(1, 0, 1)
+        dist = IrwinHallSum(1, 0, 1)
         assert dist.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
         assert dist.cdf(-0.1) == 0.0
         assert dist.cdf(1.1) == 1.0
 
     def test_k2_triangular_midpoint(self):
-        assert irwin_hall_sum(2, 0, 1).cdf(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert IrwinHallSum(2, 0, 1).cdf(1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_k3_against_monte_carlo(self):
-        dist = irwin_hall_sum(3, 0, 1)
+        dist = IrwinHallSum(3, 0, 1)
         oracle = mc_cdf(lambda rng, m: rng.random((3, m)).sum(axis=0), 1.2)
         assert dist.cdf(1.2) == pytest.approx(oracle, abs=1e-3)
         assert dist.cdf(1.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_rescaled_bounds(self):
-        dist = irwin_hall_sum(4, -2, 6)
+        dist = IrwinHallSum(4, -2, 6)
         assert dist.mean == pytest.approx(4 * 2.0)
         assert dist.variance == pytest.approx(4 * 64 / 12)
         oracle = mc_cdf(lambda rng, m: rng.uniform(-2, 6, (4, m)).sum(axis=0), 10.0)
@@ -79,41 +79,41 @@ class TestIrwinHall:
 
     def test_midpoint_symmetry_up_to_40(self):
         for k in range(1, 41):
-            dist = irwin_hall_sum(k, 0, 1)
+            dist = IrwinHallSum(k, 0, 1)
             assert dist.cdf(k / 2) == pytest.approx(0.5, abs=1e-9), k
 
     def test_normal_fallback_beyond_40(self):
-        dist = irwin_hall_sum(80, 0, 1)
+        dist = IrwinHallSum(80, 0, 1)
         assert dist.cdf(40.0) == pytest.approx(0.5, abs=1e-12)
         sd = math.sqrt(80 / 12)
         assert dist.cdf(40.0 + sd) == pytest.approx(0.8413, abs=1e-3)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            irwin_hall_sum(2, 1.0, 1.0)
+            IrwinHallSum(2, 1.0, 1.0)
 
 
 class TestChiSquareSum:
     def test_exponential_special_case(self):
-        dist = chi_square_sum(1, 2)
+        dist = ChiSquareSum(1, 2)
         assert dist.cdf(2 * math.log(2)) == pytest.approx(0.5, rel=1e-10)
         for x in (0.5, 1.0, 3.0):
             assert dist.cdf(x) == pytest.approx(1 - math.exp(-x / 2), rel=1e-10)
 
     def test_moment_additivity(self):
-        dist = chi_square_sum(5, 2)
+        dist = ChiSquareSum(5, 2)
         assert dist.dof == 10
         assert dist.mean == 10.0
         assert dist.variance == 20.0
 
     def test_against_monte_carlo(self):
-        dist = chi_square_sum(3, 4)
+        dist = ChiSquareSum(3, 4)
         oracle = mc_cdf(lambda rng, m: rng.chisquare(4, (3, m)).sum(axis=0), 12.0)
         assert dist.cdf(12.0) == pytest.approx(oracle, abs=1e-3)
 
     def test_bad_df(self):
         with pytest.raises(ValueError):
-            chi_square_sum(2, 0.0)
+            ChiSquareSum(2, 0.0)
 
 
 class TestBerryEsseen:
@@ -158,8 +158,17 @@ class TestProbabilityQuery:
         oracle = normal_mass_quad(5.0, 5 / 3, 4.5, 5.5)
         assert probability_query(dist, 5.0, "eq", 1.0) == pytest.approx(oracle, abs=1e-9)
 
+    def test_point_mass_cdf_steps_at_the_mean(self):
+        assert NormalSum(10.0, 0.0).cdf(10.0) == 1.0
+        assert NormalSum(10.0, 0.0).cdf(np.nextafter(10.0, 0.0)) == 0.0
+        assert NormalSum(10.0, 0.0).cdf([9.0, 10.0, 11.0]).tolist() == [0.0, 1.0, 1.0]
+        # only the zero-variance entry of an array of laws steps
+        mixed = NormalSum(np.array([10.0, 10.0]), np.array([0.0, 4.0]))
+        assert mixed.cdf(10.0).tolist() == [1.0, 0.5]
+        assert mixed.cdf(9.0)[0] == 0.0 and 0.0 < mixed.cdf(9.0)[1] < 0.5
+
     def test_degenerate_direct_comparison(self):
-        dist = DegenerateSum(10.0)
+        dist = NormalSum(10.0, 0.0)
         for g in (0.0, 1.0, 7.0):
             assert probability_query(dist, 10.0, "eq", g) == 1.0
             # eq counts the atom in the window (9 - g/2, 9 + g/2], as exact strata do
@@ -170,8 +179,8 @@ class TestProbabilityQuery:
     def test_far_below_target_ge_is_total_mass(self):
         for dist in (
             NormalSum(5.0, 5 / 3),
-            irwin_hall_sum(3, 0, 1),
-            chi_square_sum(2, 3),
+            IrwinHallSum(3, 0, 1),
+            ChiSquareSum(2, 3),
         ):
             assert probability_query(dist, -1e9, "ge", 1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -184,9 +193,9 @@ class TestProbabilityQuery:
     def test_complement_identity(self, g, target):
         dists = [
             NormalSum(2.0, 4.0),
-            irwin_hall_sum(4, -1, 2),
-            chi_square_sum(3, 2),
-            DegenerateSum(2.5),
+            IrwinHallSum(4, -1, 2),
+            ChiSquareSum(3, 2),
+            NormalSum(2.5, 0.0),
             fit_kde([1, 5, 9, 2], 2, m=500, seed=9),
         ]
         for dist in dists:
@@ -199,9 +208,9 @@ class TestProbabilityQuery:
         grid = np.linspace(-10, 60, 400)
         for dist in (
             NormalSum(2.0, 9.0),
-            irwin_hall_sum(5, 0, 10),
-            chi_square_sum(4, 3),
-            DegenerateSum(7.0),
+            IrwinHallSum(5, 0, 10),
+            ChiSquareSum(4, 3),
+            NormalSum(7.0, 0.0),
         ):
             vals = np.asarray(dist.cdf(grid), dtype=np.float64)
             assert np.all(np.diff(vals) >= -1e-15), dist

@@ -366,6 +366,25 @@ class TestExitCodes:
         assert out == ""
         assert f"argument --target: must be finite, got '{target}'" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--target", "5", "--granularity", "nan"],
+            ["approx", "--target", "5", "--granularity", "inf"],
+            ["approx", "--target", "5", "--method", "normal", "--df", "inf"],
+            ["approx", "--target", "5", "--low=-inf"],
+            ["exact", "--target", "5", "--relation", "eq", "--tolerance", "nan"],
+            ["exact", "--target", "5", "--relation", "eq", "--tolerance", "inf"],
+            ["evaluate", "--k", "2", "--granularity", "nan"],
+        ],
+    )
+    def test_non_finite_float_options_fail_before_any_output(self, capsys, vals4, argv):
+        # meta echoes every option, so these used to cut a JSON document short
+        code, out, err = run_cli(capsys, argv[0], vals4, *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert "input error" in err
+
     def test_internal_key_error_is_exit_3(self, capsys, vals4, monkeypatch):
         def broken(*args):
             raise KeyError("stratum")

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfectsum import (
-    DegenerateSum,
     DiscretePmf,
+    IrwinHallSum,
     NormalSum,
     discretize,
     fit_kde,
-    irwin_hall_sum,
     js_divergence,
 )
 
@@ -35,7 +34,7 @@ class TestDiscretePmf:
 
 class TestDiscretize:
     def test_degenerate_hits_one_bin(self):
-        pmf = discretize(DegenerateSum(10.0), np.array([8.0, 9.0, 10.0, 11.0]), 1.0)
+        pmf = discretize(NormalSum(10.0, 0.0), np.array([8.0, 9.0, 10.0, 11.0]), 1.0)
         assert pmf.mass.tolist() == [0.0, 0.0, 1.0, 0.0]
         assert pmf.captured_mass == 1.0
 
@@ -48,7 +47,7 @@ class TestDiscretize:
         assert raw == pytest.approx(0.3015, abs=5e-4)
 
     def test_uniform_two_bins(self):
-        pmf = discretize(irwin_hall_sum(1, 0, 1), np.array([0.25, 0.75]), 0.5)
+        pmf = discretize(IrwinHallSum(1, 0, 1), np.array([0.25, 0.75]), 0.5)
         assert pmf.mass.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_kde_model_accepted(self):

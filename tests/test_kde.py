@@ -12,8 +12,6 @@ from perfectsum import (
     fit_bandwidth,
     fit_kde,
     js_divergence,
-    kde_cdf,
-    kde_density,
     sample_subset_sums,
     set_statistics,
     subset_sum_variance,
@@ -204,28 +202,28 @@ class TestFitBandwidth:
 class TestKdeEvaluation:
     def test_density_all_mass_at_one_point(self):
         model = KdeModel(sums=np.full(50, 3.0), bandwidth=0.25)
-        assert kde_density(model, 3.0) == pytest.approx(1 / (2 * 0.25))
+        assert model.density(3.0) == pytest.approx(1 / (2 * 0.25))
 
     def test_density_compact_support(self):
         model = KdeModel(sums=np.array([0.0, 10.0]), bandwidth=1.0)
-        assert kde_density(model, 0.0) == 0.25
-        assert kde_density(model, 5.0) == 0.0
-        assert kde_density(model, 11.5) == 0.0
+        assert model.density(0.0) == 0.25
+        assert model.density(5.0) == 0.0
+        assert model.density(11.5) == 0.0
 
     def test_cdf_limits(self):
         model = KdeModel(sums=np.array([2.0, 4.0, 9.0]), bandwidth=0.5)
-        assert kde_cdf(model, 2.0 - 0.5 - 1e-9) == 0.0
-        assert kde_cdf(model, 9.0 + 0.5 + 1e-9) == 1.0
+        assert model.cdf(2.0 - 0.5 - 1e-9) == 0.0
+        assert model.cdf(9.0 + 0.5 + 1e-9) == 1.0
 
     def test_single_sample_midpoint(self):
         model = KdeModel(sums=np.array([7.0, 7.0]), bandwidth=1.0)
-        assert kde_cdf(model, 7.0) == 0.5
+        assert model.cdf(7.0) == 0.5
 
     def test_normalization_exact(self):
         model = fit_kde(list(range(10)), 3, m=1000, seed=4)
         lo = model.sums.min() - model.bandwidth
         hi = model.sums.max() + model.bandwidth
-        assert kde_cdf(model, hi + 1) - kde_cdf(model, lo - 1) == 1.0
+        assert model.cdf(hi + 1) - model.cdf(lo - 1) == 1.0
 
     def test_cdf_matches_density_derivative(self):
         model = fit_kde([1, 4, 9, 16, 25], 2, m=400, seed=6)
@@ -233,7 +231,7 @@ class TestKdeEvaluation:
         eps = h * 1e-4
         rng = np.random.default_rng(0)
         for t in rng.uniform(model.sums.min(), model.sums.max(), 40):
-            dens = kde_density(model, t)
+            dens = model.density(t)
             # skip kernel edges where the density jumps
             near_edge = np.any(
                 np.minimum(
@@ -242,13 +240,13 @@ class TestKdeEvaluation:
             )
             if near_edge:
                 continue
-            numeric = (kde_cdf(model, t + eps) - kde_cdf(model, t - eps)) / (2 * eps)
+            numeric = (model.cdf(t + eps) - model.cdf(t - eps)) / (2 * eps)
             assert numeric == pytest.approx(dens, abs=1e-6 * max(1.0, dens))
 
     def test_cdf_monotone(self):
         model = fit_kde([3, 1, 4, 1, 5, 9, 2, 6], 3, m=2000, seed=2)
         grid = np.linspace(model.sums.min() - 1, model.sums.max() + 1, 500)
-        vals = kde_cdf(model, grid)
+        vals = model.cdf(grid)
         assert np.all(np.diff(vals) >= -1e-15)
 
 

@@ -99,6 +99,29 @@ class TestApproximatePerfectSum:
             )
             assert report.total == 0
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"granularity": math.nan}, "granularity must be >= 0 and finite"),
+            ({"granularity": math.inf}, "granularity must be >= 0 and finite"),
+            ({"granularity": -1.0}, "granularity must be >= 0 and finite"),
+            ({"low": -math.inf, "high": 1.0}, "low must be finite"),
+            ({"high": math.nan}, "high must be finite"),
+            ({"df": math.inf}, "df must be finite"),
+        ],
+    )
+    def test_config_rejects_non_finite_floats(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ApproxConfig(**fields)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # a NaN tolerance used to count no subset at all
+        with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):
+            enumerate_counts([1, 2, 3], 3, "eq", tolerance)
+        with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):
+            exact_perfect_sum([1, 2, 3], 3, "eq", tolerance)
+
     def test_k_equals_n_is_degenerate(self):
         report = approximate_perfect_sum([1, 2, 3, 4], 10, ApproxConfig(relation="ge"))
         assert report.counts_by_k()[4] == 1
@@ -125,7 +148,8 @@ class TestApproximatePerfectSum:
             report = approximate_perfect_sum(values, target, config)
             assert report.counts_by_k()[n] == 1
             arr = np.array(values, dtype=np.float64)
-            assert _build_distribution(arr, set_statistics(arr), n, config).atom == sum(values)
+            dist = _build_distribution(arr, set_statistics(arr), n, config)
+            assert dist.mean == sum(values) and dist.variance == 0.0
         if method == "normal":
             assert approximate_perfect_sum([1] + [0] * 48, 1, ApproxConfig()).total == 2**48
 
@@ -212,10 +236,9 @@ class TestApproximatePerfectSum:
         from types import SimpleNamespace
 
         from perfectsum import (
-            DegenerateSum,
+            ChiSquareSum,
+            IrwinHallSum,
             NormalSum,
-            chi_square_sum,
-            irwin_hall_sum,
             normal_sum_approx,
             probability_query,
             set_statistics,
@@ -223,7 +246,7 @@ class TestApproximatePerfectSum:
         from perfectsum.approx import IRWIN_HALL_EXACT_MAX_K, _irwin_hall_cdf_std
 
         def irwin_hall(stats, k):
-            return irwin_hall_sum(k, -10.0, 30.0)
+            return IrwinHallSum(k, -10.0, 30.0)
 
         def irwin_hall_one(stats, k):
             # the exact sum up to the cutoff, the normal limit above it
@@ -235,7 +258,7 @@ class TestApproximatePerfectSum:
             )
 
         def chi_square(stats, k):
-            return chi_square_sum(k, 3.0)
+            return ChiSquareSum(k, 3.0)
 
         families = {  # method: (config fields, model of an array of sizes, of one size)
             "normal": ({}, normal_sum_approx, normal_sum_approx),
@@ -268,7 +291,7 @@ class TestApproximatePerfectSum:
                 def scalar(k, relation):
                     # the normal model reaches the k = n atom on its own
                     atom = k == n and method != "normal"
-                    dist = DegenerateSum(k * stats.mean) if atom else model_one(stats, k)
+                    dist = NormalSum(k * stats.mean, 0.0) if atom else model_one(stats, k)
                     return probability_query(dist, target, relation, g_used)
 
                 for relation in ("eq", "ge", "le"):

@@ -20,7 +20,7 @@ import pytest
 from scipy.special import ndtr
 
 from perfectsum import cli, pipeline
-from perfectsum.approx import DegenerateSum
+from perfectsum.approx import NormalSum
 
 
 def reference_granularity(values):
@@ -46,7 +46,7 @@ def reference_normal(stats, k):
     mean = k * stats.mean
     var = k * stats.variance * (1.0 - (k - 1) / max(stats.n - 1, 1))
     if np.ndim(var) == 0 and var <= 0.0:
-        return DegenerateSum(atom=mean)
+        return NormalSum(mean, 0.0)
     return ReferenceNormal(mean=mean, variance=var)
 
 

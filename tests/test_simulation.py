@@ -162,6 +162,31 @@ class TestDivergenceExperiment:
         with pytest.raises(ValueError, match="irwin_hall method needs low and high bounds"):
             divergence_experiment([1, 2, 3], [1, 2], ["normal", {"method": "irwin_hall"}])
 
+    @pytest.mark.parametrize("granularity", [math.nan, math.inf, -1.0])
+    def test_bad_granularity_fails_before_any_reference(self, monkeypatch, granularity):
+        # NaN and -1 used to fall through to the bins rule, inf crashed
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference pmf built for an invalid granularity")
+
+        monkeypatch.setattr(simulation, "exact_sum_pmf", no_reference)
+        with pytest.raises(ValueError, match="granularity must be >= 0 and finite"):
+            divergence_experiment([1, 2, 3], [2], ["normal"], granularity=granularity)
+
+    def test_point_mass_strata_match_the_reference(self):
+        # k = n, and every size of a constant set, is one sum: each method's
+        # model puts all its mass in the reference's one bin
+        methods = ["normal", {"method": "irwin_hall", "low": 0, "high": 20},
+                   {"method": "chi_square", "df": 3}, {"method": "kde", "samples": 50}]
+        ints = generate_set(SetSpec(family="discrete_uniform", n=12, seed=3, low=0, high=20))
+        reals = generate_set(SetSpec(family="chi_square", n=12, seed=3, df=3))
+        cases = [(ints, [12], methods), (reals, [12], methods),
+                 (np.full(6, 2.5), [1, 3, 5], ["normal"])]
+        for values, ks, specs in cases:
+            result = divergence_experiment(values, ks, specs, seed=1)
+            assert len(result.rows) == len(ks) * len(specs)
+            assert all(row["value"] == 0.0 for row in result.rows)
+            assert set(result.metadata["reference"]["kind"].values()) == {"exact"}
+
     def test_sampled_reference_for_large_real_sets(self):
         values = generate_set(SetSpec(family="chi_square", n=3000, seed=2, df=3))
         result = divergence_experiment(
