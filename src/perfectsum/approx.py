@@ -14,6 +14,7 @@ how far the standardized subset sum can be from the standard normal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +254,9 @@ def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> 
 
 
 def _check_granularity(g: float) -> None:
-    if not 0 <= g < math.inf:
-        raise ValueError(f"granularity must be >= 0 and finite, got {g}")
+    # a bool is an int to Python, but a JSON true is no granularity
+    if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0 <= g < math.inf:
+        raise ValueError(f"granularity must be >= 0 and finite, got {g!r}")
 
 
 def probability_query(dist, target: float, relation: str, granularity: float = 0.0):

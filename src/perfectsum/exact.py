@@ -40,9 +40,8 @@ RELATIONS = ("eq", "ge", "le")
 
 DEFAULT_ENUMERATION_CAP = 26
 
-# int64 table cells are exact while every count fits below 2^63; counts are
-# bounded by C(n, k) <= 2^n, so n <= 62 is safe. Larger n switches to
-# object (Python int) cells.
+# enumerate_counts keeps its counts in int64, exact while every count fits
+# below 2^63; counts are bounded by C(n, k) <= 2^n, so n <= 62 is safe
 _INT64_SAFE_N = 62
 
 _DEFAULT_MAX_TABLE_CELLS = 50_000_000
@@ -259,14 +258,6 @@ def _as_int_array(values) -> np.ndarray:
     return ints
 
 
-def _table(shape: tuple[int, int], n: int) -> np.ndarray:
-    if n <= _INT64_SAFE_N:
-        return np.zeros(shape, dtype=np.int64)
-    dp = np.empty(shape, dtype=object)
-    dp[...] = 0
-    return dp
-
-
 def dp_counts(
     values,
     target: float,
@@ -365,7 +356,8 @@ def _sum_table(
     rows = n if rows is None else rows
     width = top - lo + 1
     _check_cells(rows + 1, width, max_cells)
-    dp = _table((rows + 1, width), n)
+    # Python int cells: a count can exceed any fixed width
+    dp = np.zeros((rows + 1, width), dtype=object)
     dp[0, -lo] = 1
     ascending = np.sort(ints).tolist()
     prefix = [0, *itertools.accumulate(ascending)]

@@ -12,9 +12,10 @@ for the whole run; no stratum is silently left out of the total.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
-from itertools import compress
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,9 +72,9 @@ class ApproxConfig:
     enumeration when C(n, k) stays within the stratum budget; the normal
     family is weakest at small k, where few large strata dominate.
     Irwin-Hall needs ``low`` and ``high``, chi-square ``df``, KDE at least
-    2 ``samples``; a ``low``, ``high`` or ``df`` that is set must be finite,
-    as must a granularity, which is also >= 0. The field order is the key
-    order of the report's ``meta`` echo.
+    2 ``samples``. A number that is set must be finite, a granularity also
+    >= 0, a count field an integer, ``diagnostics`` a bool, and a bool is
+    no number. The field order is the key order of the report's ``meta`` echo.
     """
 
     relation: str = "ge"
@@ -90,24 +91,39 @@ class ApproxConfig:
     diagnostics: bool = False
 
     def __post_init__(self):
+        for name in ("low", "high", "df"):
+            _check_number(name, getattr(self, name), numbers.Real, optional=True)
+        for name in ("k_min", "k_max", "exact_small_k", "samples", "seed"):
+            _check_number(name, getattr(self, name), numbers.Integral, name.startswith("k_"))
+        if self.granularity is not None:
+            _check_granularity(self.granularity)
+        if not isinstance(self.diagnostics, bool):
+            raise ValueError(f"diagnostics must be a bool, got {self.diagnostics!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.relation not in exact_mod.RELATIONS:
             raise ValueError(f"relation must be one of {exact_mod.RELATIONS}")
         if self.exact_small_k < 0:
             raise ValueError("exact_small_k must be >= 0")
-        if self.granularity is not None:
-            _check_granularity(float(self.granularity))
-        for name in ("low", "high", "df"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(float(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.method == "irwin_hall" and (self.low is None or self.high is None):
             raise ValueError("irwin_hall method needs low and high bounds")
         if self.method == "chi_square" and self.df is None:
             raise ValueError("chi_square method needs df")
         if self.method == "kde" and self.samples < 2:
             raise ValueError(f"need at least 2 samples for a bandwidth, got m={self.samples}")
+
+
+def _check_number(name: str, value, kind, optional: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a ``kind`` number (or None if ``optional``)."""
+    if value is None and optional:
+        return
+    # a bool is an int to Python, but a JSON true is no number
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {what}{' or None' if optional else ''}, got {value!r}")
+    # a real must be finite as a float, which an int beyond the float range is not
+    if kind is numbers.Real and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite as a float, got {value!r}")
 
 
 def _config_from(doc: dict, names=None, **defaults) -> ApproxConfig:
@@ -136,14 +152,12 @@ def _config_echo(config: ApproxConfig) -> dict:
 class ApproxReport:
     """Per-size probabilities and counts plus the arbitrary-precision total.
 
-    Stored columnar (``ks`` aligned with ``probabilities``, ``counts``,
-    ``methods``, and each array of ``diagnostics``) so million-row reports
-    stay cheap; ``rows()`` yields the per-k records. ``to_json_dict``
-    keeps the rows of positive probability by a numpy mask, and one
-    ``list.count`` tells whether any other row has a nonzero count. Only
-    then, when a probability underflowed to 0.0 below a count (an exact
-    report), does it walk the counts; otherwise its Python work grows with
-    the kept rows, not with n. ``meta`` echoes the full invocation for
+    The report holds the rows it emits: ``ks`` ascends, aligned with
+    ``probabilities``, ``counts`` and ``methods``, one row per stratum of
+    positive probability or nonzero count. Every other k of
+    [``meta["k_min"]``, ``meta["k_max"]``] has probability 0 and count 0;
+    ``counts_by_k`` fills those in. ``diagnostics``, when asked for, covers
+    every k of that window. ``meta`` echoes the full invocation for
     reproducibility.
     """
 
@@ -155,44 +169,25 @@ class ApproxReport:
     meta: dict = field(default_factory=dict)
     diagnostics: Optional[BerryEsseenTerms] = None
 
-    def rows(self) -> Iterator[dict]:
-        for i in range(self.ks.size):
-            yield {
-                "k": int(self.ks[i]),
-                "probability": float(self.probabilities[i]),
-                "count": self.counts[i],
-                "method_used": self.methods[i],
-            }
-
     def counts_by_k(self) -> dict:
-        return {int(k): c for k, c in zip(self.ks, self.counts)}
+        by_k = dict.fromkeys(range(self.meta["k_min"], self.meta["k_max"] + 1), 0)
+        by_k.update(zip(self.ks.tolist(), self.counts))
+        return by_k
 
     def to_json_dict(self) -> dict:
-        """Stable JSON shape; counts as decimal strings, zero rows elided.
-
-        Any k inside [k_min, k_max] that is absent from ``per_k.k`` has
-        probability 0 and count 0.
-        """
-        counts = self.counts
-        keep = self.probabilities > 0.0
-        kept = np.flatnonzero(keep).tolist()
-        # a count can be nonzero where the probability underflowed to 0.0 (an
-        # exact report); only then are the counts scanned for the rows to add
-        if len(counts) - counts.count(0) != sum(1 for i in kept if counts[i]):
-            keep[list(compress(range(len(counts)), counts))] = True
-            kept = np.flatnonzero(keep).tolist()
+        """Stable JSON shape: the rows as ``per_k`` columns, counts as decimal strings."""
         doc = dict(self.meta)
         doc["total"] = str(self.total)
         doc["per_k"] = {
-            "k": self.ks[keep].tolist(),
-            "probability": self.probabilities[keep].tolist(),
-            "count": [str(counts[i]) for i in kept],
-            "method_used": [self.methods[i] for i in kept],
+            "k": self.ks.tolist(),
+            "probability": self.probabilities.tolist(),
+            "count": [str(c) for c in self.counts],
+            "method_used": list(self.methods),
         }
         terms = self.diagnostics
         if terms is not None:
             doc["diagnostics"] = {
-                "k": self.ks.tolist(),
+                "k": list(range(self.meta["k_min"], self.meta["k_max"] + 1)),
                 "p": terms.p.tolist(),
                 "q": terms.q.tolist(),
                 "b": terms.b.tolist(),
@@ -280,7 +275,9 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     distribution over the array of sizes and answers them with one
     ``probability_query``. k = n, for every method, is the one subset
     holding the whole set: its sum is compared to the target exactly, as
-    an atom.
+    an atom. The report's rows are the strata of positive probability,
+    the only ones whose count can be nonzero; ``counts_by_k`` covers every
+    k of the window.
 
     The KDE method draws its samples once for all strata:
     ``kde.shared_subset_sums`` reads every stratum's m sums off the
@@ -305,7 +302,6 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     g = auto_granularity(arr) if config.granularity is None else float(config.granularity)
 
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
-    methods = [config.method] * ks.size
 
     # the models cover k_min..last; k = n, if asked for, is set below
     last = min(k_max, n - 1)
@@ -332,26 +328,28 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     # hybrid mode: small strata take the exact share of their subsets. With
     # C = C(n, k) <= EXACT_STRATUM_BUDGET = 10^6, fl(count / C) * C is within
     # 10^6 * 2^-53 < 0.5 of the count, so the count loop rounds it back exactly
+    exact_ks = set()
     for k in range(k_min, config.exact_small_k + 1):
         c = binomial(n, k)
         if c > EXACT_STRATUM_BUDGET:
             continue
         sums = exact_mod._sums_of_size(arr, k)
         probs[k - k_min] = int(_relation_mask(sums, target, config.relation, g).sum()) / c
-        methods[k - k_min] = "exact"
+        exact_ks.add(k)
 
-    # Python work only for the strata that get a count: the binomial
+    # the report keeps the strata of positive probability (an exact share is
+    # at least 1 / C > 0), and only they cost Python work: the binomial
     # recurrence steps from one such k to the next
-    counts: list = [0] * ks.size
-    idx = np.flatnonzero(probs > 0.0).tolist()
-    at = k_min + idx[0] if idx else 0
+    idx = np.flatnonzero(probs > 0.0)
+    kept = ks[idx].tolist()
+    counts = []
+    at = kept[0] if kept else 0
     c = math.comb(n, at)
-    for i, p in zip(idx, probs[idx].tolist()):
-        for j in range(at, k_min + i):
+    for k, p in zip(kept, probs[idx].tolist()):
+        for j in range(at, k):
             c = c * (n - j) // (j + 1)
-        at = k_min + i
-        counts[i] = _round_half_even(p, c)
-    total = sum(counts[i] for i in idx)
+        at = k
+        counts.append(_round_half_even(p, c))
 
     diagnostics = berry_esseen_terms(arr, ks) if config.diagnostics else None
 
@@ -364,11 +362,11 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     if config.method != "kde":
         meta.update(samples=None, seed=None)
     return ApproxReport(
-        ks=ks,
-        probabilities=probs,
+        ks=ks[idx],
+        probabilities=probs[idx],
         counts=counts,
-        methods=methods,
-        total=total,
+        methods=["exact" if k in exact_ks else config.method for k in kept],
+        total=sum(counts),
         meta=meta,
         diagnostics=diagnostics,
     )
@@ -387,8 +385,8 @@ def exact_perfect_sum(
     ``engine`` picks the oracle: ``enumerate`` (any values, n capped at
     ``exact.DEFAULT_ENUMERATION_CAP``), ``dp`` (integer values, bounded
     sum range, exact sums only, so ``tolerance`` must be 0), or ``auto``
-    (dp when it applies, else enumeration). The probability column is
-    count / C(n, k).
+    (dp when it applies, else enumeration). The rows are the k of nonzero
+    count, and the probability column is count / C(n, k).
 
     Raises
     ------
@@ -417,12 +415,10 @@ def exact_perfect_sum(
     else:
         result = exact_mod.enumerate_counts(arr, target, relation, tolerance)
 
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    counts = [result.counts[k] for k in range(1, n + 1)]
-    probs = np.array(
-        [cnt / math.comb(n, k) for k, cnt in zip(range(1, n + 1), counts)],
-        dtype=np.float64,
-    )
+    # a row's probability may underflow to 0.0 below its count
+    kept = [k for k in range(1, n + 1) if result.counts[k]]
+    counts = [result.counts[k] for k in kept]
+    probs = [cnt / math.comb(n, k) for k, cnt in zip(kept, counts)]
     meta = {
         "command": "exact",
         "n": n,
@@ -435,10 +431,10 @@ def exact_perfect_sum(
         "tolerance": tolerance,
     }
     return ApproxReport(
-        ks=ks,
-        probabilities=probs,
+        ks=np.array(kept, dtype=np.int64),
+        probabilities=np.array(probs, dtype=np.float64),
         counts=counts,
-        methods=[chosen] * n,
+        methods=[chosen] * len(kept),
         total=result.total,
         meta=meta,
     )

@@ -32,6 +32,7 @@ from .pipeline import (
     _MODEL_FIELDS,
     ApproxConfig,
     _build_distribution,
+    _check_number,
     _config_echo,
     _config_from,
     approximate_perfect_sum,
@@ -60,7 +61,7 @@ _GRID_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class SetSpec:
-    """Recipe for one generated value set."""
+    """Recipe for one generated value set; checks its fields, as they may come from JSON."""
 
     family: str
     n: int
@@ -73,8 +74,17 @@ class SetSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; options: {FAMILIES}")
+        for name, kind in (("n", numbers.Integral), ("seed", numbers.Integral),
+                           ("low", numbers.Real), ("high", numbers.Real), ("df", numbers.Real)):
+            _check_number(name, getattr(self, name), kind)
         if self.n < 1:
             raise ValueError(f"set size must be >= 1, got {self.n}")
+        need, met = {"uniform": ("low < high", self.low < self.high),
+                     "discrete_uniform": ("low <= high", self.low <= self.high),
+                     "chi_square": ("df > 0", self.df > 0),
+                     "custom_file": ("a path", self.path is not None)}[self.family]
+        if not met:
+            raise ValueError(f"a {self.family} set needs {need}; got {self.describe()}")
 
     def describe(self) -> dict:
         doc = {"family": self.family, "n": self.n, "seed": self.seed}
@@ -98,15 +108,9 @@ def generate_set(spec: SetSpec) -> np.ndarray:
     if spec.family == "discrete_uniform":
         return rng.integers(int(spec.low), int(spec.high) + 1, spec.n).astype(np.float64)
     if spec.family == "uniform":
-        if not spec.low < spec.high:
-            raise ValueError(f"need low < high, got [{spec.low}, {spec.high}]")
         return rng.uniform(spec.low, spec.high, spec.n)
     if spec.family == "chi_square":
-        if not spec.df > 0:
-            raise ValueError(f"df must be > 0, got {spec.df}")
         return rng.chisquare(spec.df, spec.n)
-    if spec.path is None:
-        raise ValueError("custom_file family needs a path")
     return read_input(spec.path)
 
 
@@ -218,12 +222,12 @@ def error_experiment(
     return ExperimentResult(rows=rows, metadata=metadata)
 
 
-def _bin_pmf(sums: np.ndarray, weights: np.ndarray, g: float) -> DiscretePmf:
-    idx = np.floor(sums / g + 0.5).astype(np.int64)
+def _bin_pmf(sums: np.ndarray, weights: np.ndarray, g: float, anchor: float) -> DiscretePmf:
+    idx = np.floor((sums - anchor) / g + 0.5).astype(np.int64)
     uniq, inverse = np.unique(idx, return_inverse=True)
     mass = np.bincount(inverse, weights=weights)
     mass = mass / mass.sum()
-    return DiscretePmf(support=uniq.astype(np.float64) * g, mass=mass)
+    return DiscretePmf(support=anchor + uniq.astype(np.float64) * g, mass=mass)
 
 
 def _raw_reference(
@@ -254,8 +258,8 @@ def _method_spec(method) -> dict:
     return spec
 
 
-def _approx_grid(ref: DiscretePmf, dist, g: float) -> np.ndarray:
-    """Granularity grid covering both the reference support and the approximation."""
+def _approx_grid(ref: DiscretePmf, dist, g: float, anchor: float) -> np.ndarray:
+    """Grid ``anchor + g * Z`` covering both the reference support and the approximation."""
     lo = float(ref.support[0])
     hi = float(ref.support[-1])
     if hasattr(dist, "bandwidth"):
@@ -265,14 +269,14 @@ def _approx_grid(ref: DiscretePmf, dist, g: float) -> np.ndarray:
         spread = 8.0 * math.sqrt(dist.variance)
         lo = min(lo, dist.mean - spread)
         hi = max(hi, dist.mean + spread)
-    i_lo = int(math.floor(lo / g + 0.5))
-    i_hi = int(math.floor(hi / g + 0.5))
+    i_lo = int(math.floor((lo - anchor) / g + 0.5))
+    i_hi = int(math.floor((hi - anchor) / g + 0.5))
     if i_hi - i_lo + 1 > _GRID_LIMIT:
         raise ValueError(
             f"divergence grid of {i_hi - i_lo + 1} points exceeds {_GRID_LIMIT}; "
             f"use a coarser granularity"
         )
-    return np.arange(i_lo, i_hi + 1, dtype=np.float64) * g
+    return anchor + np.arange(i_lo, i_hi + 1, dtype=np.float64) * g
 
 
 def divergence_experiment(
@@ -289,7 +293,9 @@ def divergence_experiment(
 
     ``granularity=None`` resolves per set: the sum-lattice gcd for
     integer-valued sets, else each k's reference range divided into
-    ``bins`` windows. Methods are names or dicts of a ``method`` and the
+    ``bins`` windows. The size-k sums of an integer-valued set lie on
+    k * min(values) + g * Z, so both grids anchor at fmod(k * min, g),
+    other sets' at 0. Methods are names or dicts of a ``method`` and the
     model's ``ApproxConfig`` fields (``low``, ``high``, ``df``,
     ``samples``, ``seed``), e.g. ``{"method": "chi_square", "df": 3}``;
     the experiment ``seed`` is the default of each method's ``seed``. Any
@@ -302,7 +308,7 @@ def divergence_experiment(
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     if granularity is not None:
-        _check_granularity(float(granularity))
+        _check_granularity(granularity)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
     n = stats.n
@@ -316,6 +322,7 @@ def divergence_experiment(
     grans: dict[str, float] = {}
     ref_kinds: dict[str, str] = {}
     base_g = auto_granularity(arr) if granularity is None else float(granularity)
+    lattice_base = float(arr.min()) if _integer_valued(arr) is not None else None
 
     for k in k_values:
         points, weights, kind = _raw_reference(arr, k, seed, ref_samples)
@@ -323,12 +330,13 @@ def divergence_experiment(
             g = base_g
         else:
             g = max((float(points.max()) - float(points.min())) / bins, 1e-12)
-        ref = _bin_pmf(points, weights, g)
+        anchor = 0.0 if lattice_base is None else math.fmod(k * lattice_base, g)
+        ref = _bin_pmf(points, weights, g, anchor)
         grans[str(k)] = g
         ref_kinds[str(k)] = kind
         for config in configs:
             dist = _build_distribution(arr, stats, k, config)
-            grid = _approx_grid(ref, dist, g)
+            grid = _approx_grid(ref, dist, g, anchor)
             approx_pmf = discretize(dist, grid, g)
             rows.append(
                 {"n": n, "k": int(k), "method": config.method, "metric": "jsd",

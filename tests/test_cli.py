@@ -328,6 +328,52 @@ class TestSimulateCommand:
         assert out == ""
         assert f"input error: {key} must be an integer >= 1, got {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"family": "uniform", "high": float("inf")}, "high"),
+            ({"family": "discrete_uniform", "high": float("inf")}, "high"),
+            ({"family": "uniform", "high": 10**400}, "high"),
+            ({"family": "uniform", "low": "0"}, "low"),
+            ({"family": "chi_square", "df": float("nan")}, "df"),
+            ({"family": "chi_square", "df": 0}, "df"),
+            ({"family": "uniform", "n": 6.0}, "n"),
+            ({"family": "uniform", "n": True}, "n"),
+            ({"family": "uniform", "seed": 1.5}, "seed"),
+            ({"family": "uniform", "low": 2, "high": 2}, "low < high"),
+            ({"family": "discrete_uniform", "low": 3, "high": 2}, "low <= high"),
+            ({"family": "custom_file"}, "path"),
+        ],
+    )
+    def test_set_spec_fields_checked(self, capsys, tmp_path, fields, name):
+        config = {"experiment": "divergence", "set": {"n": 6, **fields}, "k_values": [2],
+                  "methods": ["normal"]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "input error: " in err and name in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"low": "0"}, {"high": -(10**400)}, {"granularity": "1"}, {"df": True}, {"k_min": "2"},
+         {"k_max": 3.0},
+         {"exact_small_k": 1.0}, {"method": "kde", "samples": 2.5}, {"seed": True},
+         {"diagnostics": "yes"}, {"diagnostics": 1}],
+    )
+    def test_config_field_types_checked(self, capsys, tmp_path, fields):
+        config = {"experiment": "error",
+                  "family": {"family": "discrete_uniform", "low": 0, "high": 20},
+                  "n_values": [6], "seeds": [0], "config": fields}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        (name,) = [key for key in fields if key != "method"]
+        assert f"input error: {name} must be " in err
+
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")

@@ -9,7 +9,6 @@ import pytest
 
 from perfectsum import (
     ApproxConfig,
-    ApproxReport,
     approximate_perfect_sum,
     auto_granularity,
     binomial,
@@ -18,7 +17,6 @@ from perfectsum import (
     exact_perfect_sum,
     set_statistics,
 )
-from perfectsum import pipeline as pipeline_mod
 from perfectsum.pipeline import (
     _GCD_CHUNK,
     EXACT_STRATUM_BUDGET,
@@ -199,15 +197,18 @@ class TestApproximatePerfectSum:
 
     def test_hybrid_small_strata_only(self):
         values = list(range(1, 15))
-        report = approximate_perfect_sum(
-            values, 30.0, ApproxConfig(relation="ge", exact_small_k=2)
-        )
-        assert report.methods[0] == "exact"
-        assert report.methods[1] == "exact"
-        assert set(report.methods[2:]) == {"normal"}
-        brute = brute_counts(values, 30.0, "ge")
-        assert report.counts_by_k()[1] == brute[1]
-        assert report.counts_by_k()[2] == brute[2]
+        # no 1-subset reaches either target and no 2-subset reaches 30: an
+        # exact stratum of count 0 has probability 0 and no row
+        for target, exact_rows in ((30.0, []), (20.0, [2])):
+            report = approximate_perfect_sum(
+                values, target, ApproxConfig(relation="ge", exact_small_k=2)
+            )
+            methods = dict(zip(report.ks.tolist(), report.methods))
+            assert [k for k, m in methods.items() if m == "exact"] == exact_rows
+            assert {m for k, m in methods.items() if k > 2} == {"normal"}
+            brute = brute_counts(values, target, "ge")
+            assert report.counts_by_k()[1] == brute[1]
+            assert report.counts_by_k()[2] == brute[2]
 
     def test_hybrid_stratum_over_the_budget_keeps_its_model(self, rng):
         # C(60, 4) = 487,635 is within the exact budget; C(60, 5) = 5,461,512 is not
@@ -217,11 +218,16 @@ class TestApproximatePerfectSum:
             values, target, ApproxConfig(relation="ge", exact_small_k=5)
         )
         model = approximate_perfect_sum(values, target, ApproxConfig(relation="ge"))
-        assert hybrid.methods == ["exact"] * 4 + ["normal"] * 56
+        assert all((m == "exact") == (k <= 4) for k, m in zip(hybrid.ks.tolist(), hybrid.methods))
         dp = dp_counts(values, target, "ge")
-        assert hybrid.counts[:4] == [dp[k] for k in range(1, 5)]
-        assert hybrid.counts[4:] == model.counts[4:]
-        assert hybrid.probabilities[4:].tobytes() == model.probabilities[4:].tobytes()
+        counts, model_counts = hybrid.counts_by_k(), model.counts_by_k()
+        assert [counts[k] for k in range(1, 5)] == [dp[k] for k in range(1, 5)]
+        assert all(counts[k] == model_counts[k] for k in range(5, 61))
+        probs = dict(zip(hybrid.ks.tolist(), hybrid.probabilities.tolist()))
+        model_probs = dict(zip(model.ks.tolist(), model.probabilities.tolist()))
+        assert {k: p for k, p in probs.items() if k > 4} == {
+            k: p for k, p in model_probs.items() if k > 4
+        }
         assert hybrid.total == sum(hybrid.counts)
 
     def test_k_range_restriction(self):
@@ -315,10 +321,11 @@ class TestApproximatePerfectSum:
                     ] if sized.size else []
                     for array in arrays:
                         assert isinstance(array, np.ndarray) and array.shape == sized.shape
+                    probs = dict(zip(report.ks.tolist(), report.probabilities.tolist()))
                     for i, k in enumerate(ks.tolist()):
                         expected = scalar(k, relation)
                         assert isinstance(expected, float)
-                        assert report.probabilities[i] == expected, (method, relation, k)
+                        assert probs.get(k, 0.0) == expected, (method, relation, k)
                         for array in arrays if i < sized.size else []:
                             assert array[i] == expected, (method, relation, k)
                         checked[method] += 1
@@ -336,7 +343,7 @@ class TestApproximatePerfectSum:
             values, 15, ApproxConfig(method="kde", relation="ge", samples=400, seed=5,
                                      k_min=3, k_max=3)
         )
-        assert c.counts[0] == a.counts_by_k()[3]
+        assert c.counts_by_k() == {3: a.counts_by_k()[3]}
 
     def test_kde_strata_read_one_shared_draw(self, rng):
         from perfectsum import KdeModel, fit_bandwidth, probability_query
@@ -346,10 +353,11 @@ class TestApproximatePerfectSum:
         config = ApproxConfig(method="kde", relation="ge", samples=300, seed=8, k_max=29)
         report = approximate_perfect_sum(values, 200.0, config)
         g = report.meta["granularity"]
+        probs = dict(zip(report.ks.tolist(), report.probabilities.tolist()))
         columns = shared_subset_sums(values, 1, 29, 300, seed=8)
         for k, sums in enumerate(columns, start=1):
             model = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
-            assert report.probabilities[k - 1] == probability_query(model, 200.0, "ge", g)
+            assert probs.get(k, 0.0) == probability_query(model, 200.0, "ge", g)
 
     def test_kde_too_few_samples_fail_with_k(self):
         with pytest.raises(ValueError, match="need at least 2 samples for a bandwidth, got m=1"):
@@ -398,12 +406,12 @@ class TestApproximatePerfectSum:
         assert report.total == 3
         for target, total in ((2.5, 1), (2.0, 0)):
             report = approximate_perfect_sum([2.5], target, ApproxConfig(relation="eq"))
-            assert report.counts == [total] and report.total == total
+            assert report.counts_by_k() == {1: total} and report.total == total
         # a window holding only k = n of a real set
         report = approximate_perfect_sum(
             [1.5, 2.25, 3.75], 7.5, ApproxConfig(relation="eq", k_min=3, k_max=3)
         )
-        assert report.counts == [1]
+        assert report.counts_by_k() == {3: 1}
 
     def test_eq_atom_counts_in_the_granularity_window(self):
         # every stratum of [3, 3, 3] is an atom; k = 2 sums to 6, inside (5.7, 6.7]
@@ -416,7 +424,8 @@ class TestApproximatePerfectSum:
         assert exact_perfect_sum([3, 3, 3], 6.2, "eq", tolerance=0.5).total == 3
         # the window is open below and closed above
         for target, counts in ((5.5, [0, 3, 0]), (6.5, [0, 0, 0]), (8.5, [0, 0, 1])):
-            assert approximate_perfect_sum([3, 3, 3], target, config).counts == counts
+            by_k = approximate_perfect_sum([3, 3, 3], target, config).counts_by_k()
+            assert list(by_k.values()) == counts
 
     def test_eq_without_granularity_rejected_when_a_stratum_is_continuous(self):
         # k = 2 is continuous even though k = 3 is an atom
@@ -453,10 +462,11 @@ class TestCountMaterialisation:
                                      k_max=k_max, exact_small_k=exact_small_k),
                     )
                     gran = report.meta["granularity"]
-                    rows = zip(report.ks.tolist(), report.probabilities.tolist(),
-                               report.counts, report.methods)
-                    for k, p, count, method in rows:
-                        if method == "exact":
+                    probs = dict(zip(report.ks.tolist(), report.probabilities.tolist()))
+                    methods = dict(zip(report.ks.tolist(), report.methods))
+                    for k, count in report.counts_by_k().items():
+                        p = probs.get(k, 0.0)
+                        if k <= exact_small_k:
                             sums = exact_strata[k]
                             if relation == "eq":
                                 hit = (sums > target - gran / 2) & (sums <= target + gran / 2)
@@ -470,9 +480,8 @@ class TestCountMaterialisation:
                         else:
                             assert count == 0, (relation, frac, k)
                     assert report.total == sum(report.counts)
-                    exact_ks = [k for k, m in zip(report.ks.tolist(), report.methods)
-                                if m == "exact"]
-                    assert exact_ks == ([] if exact_small_k == 0 else list(range(report.ks[0], 3)))
+                    exact_ks = [k for k, m in methods.items() if m == "exact"]
+                    assert exact_ks == [k for k in methods if k <= exact_small_k]
 
 
 class TestAutoGranularity:
@@ -542,7 +551,8 @@ class TestExactPerfectSum:
 
     def test_probability_column(self):
         report = exact_perfect_sum([1, 2, 3, 4], 5, "ge")
-        assert report.probabilities.tolist() == pytest.approx([0.0, 4 / 6, 4 / 4, 1.0])
+        assert report.ks.tolist() == [2, 3, 4]
+        assert report.probabilities.tolist() == pytest.approx([4 / 6, 4 / 4, 1.0])
 
     def test_real_values_go_through_enumeration(self):
         report = exact_perfect_sum([1.5, 2.5, 3.0], 4.0, "ge")
@@ -593,55 +603,47 @@ class TestReportSerialization:
 
     @staticmethod
     def _kept_columns(report):
-        kept = [r for r in report.rows() if r["probability"] > 0 or r["count"] != 0]
+        """The rows of positive probability or nonzero count, from every k of the window."""
+        probs = dict(zip(report.ks.tolist(), report.probabilities.tolist()))
+        methods = dict(zip(report.ks.tolist(), report.methods))
+        kept = [(k, c) for k, c in report.counts_by_k().items()
+                if probs.get(k, 0.0) > 0 or c != 0]
         return {
-            "k": [r["k"] for r in kept],
-            "probability": [r["probability"] for r in kept],
-            "count": [str(r["count"]) for r in kept],
-            "method_used": [r["method_used"] for r in kept],
+            "k": [k for k, _ in kept],
+            "probability": [probs[k] for k, _ in kept],
+            "count": [str(c) for _, c in kept],
+            "method_used": [methods[k] for k, _ in kept],
         }
 
     def test_per_k_matches_filtered_rows(self):
         report = approximate_perfect_sum(
             list(range(1, 41)), 700.0, ApproxConfig(relation="ge", exact_small_k=2)
         )
-        assert 0 < len(report.to_json_dict()["per_k"]["k"]) < report.ks.size
+        assert 0 < len(report.to_json_dict()["per_k"]["k"]) < len(report.counts_by_k())
         assert report.to_json_dict()["per_k"] == self._kept_columns(report)
 
     def test_count_kept_where_probability_underflowed(self):
-        report = ApproxReport(
-            ks=np.arange(3, 11, dtype=np.int64),
-            probabilities=np.array([0.0, 0.25, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.5]),
-            counts=[0, 14, 0, 0, 0, 3, 0, 9],
-            methods=["normal", "normal", "exact", "normal", "normal", "exact", "normal", "normal"],
-            total=26,
-        )
+        # a k-subset sums to 560 when it holds all 560 ones and k - 560 zeros;
+        # C(1120, k) exceeds the float range near k = 560, so count / C
+        # underflows to 0.0 on the first rows, which keep their counts
+        report = exact_perfect_sum([0] * 560 + [1] * 560, 560, "eq")
+        assert report.ks.tolist() == list(range(560, 1121))
+        assert report.counts == [math.comb(560, k - 560) for k in range(560, 1121)]
+        assert report.probabilities[:3].tolist() == [0.0, 0.0, 0.0]
         per_k = report.to_json_dict()["per_k"]
         assert per_k == self._kept_columns(report)
-        # k = 8 has count 3 at probability 0.0; k = 7 has count 0 at p > 0
-        assert per_k["k"] == [4, 7, 8, 10]
-        assert per_k["count"] == ["14", "0", "3", "9"]
+        assert per_k["count"][:3] == ["1", "560", "156520"]
 
-    def test_counts_not_scanned_when_every_count_has_a_probability(self, monkeypatch):
-        report = ApproxReport(
-            ks=np.arange(1, 7, dtype=np.int64),
-            probabilities=np.array([0.0, 0.25, 1e-300, 0.0, 0.5, 0.0]),
-            counts=[0, 14, 0, 0, 9, 0],
-            methods=["normal"] * 6,
-            total=23,
-        )
-        # the full scan of the counts is only for a count at probability 0.0
-        monkeypatch.setattr(pipeline_mod, "compress", None)
-        per_k = report.to_json_dict()["per_k"]
-        assert per_k == self._kept_columns(report)
-        assert per_k["k"] == [2, 3, 5]
-        assert per_k["count"] == ["14", "0", "9"]
-
-    def test_rows_iterator_covers_all_k(self):
+    def test_counts_by_k_covers_all_k(self):
         report = exact_perfect_sum([1, 2, 3, 4], 5, "eq")
-        rows = list(report.rows())
-        assert [r["k"] for r in rows] == [1, 2, 3, 4]
-        assert sum(r["count"] for r in rows) == 2
+        assert report.ks.tolist() == [2]
+        assert report.counts_by_k() == {1: 0, 2: 2, 3: 0, 4: 0}
+        # no stratum of the window reaches 100: a report of no rows
+        report = approximate_perfect_sum(
+            [1, 2, 3, 4, 5], 100, ApproxConfig(relation="ge", k_min=2, k_max=4)
+        )
+        assert report.ks.tolist() == [] and report.to_json_dict()["per_k"]["k"] == []
+        assert report.counts_by_k() == {2: 0, 3: 0, 4: 0}
 
     def test_diagnostics_serialization(self, rng):
         from perfectsum import berry_esseen_terms
@@ -667,9 +669,10 @@ class TestReportSerialization:
             report = approximate_perfect_sum(values, 20.0, config)
             doc = json.loads(json.dumps(report.to_json_dict()))["diagnostics"]
             assert list(doc) == keys
-            assert doc["k"] == report.ks.tolist()
-            assert all(len(column) == report.ks.size for column in doc.values())
-            for i, k in enumerate(report.ks.tolist()):
+            window = list(report.counts_by_k())
+            assert doc["k"] == window
+            assert all(len(column) == len(window) for column in doc.values())
+            for i, k in enumerate(window):
                 terms = berry_esseen_terms(values, k)
                 for key in keys[1:]:
                     got, want = doc[key][i], getattr(terms, key)

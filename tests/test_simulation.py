@@ -179,13 +179,22 @@ class TestDivergenceExperiment:
                    {"method": "chi_square", "df": 3}, {"method": "kde", "samples": 50}]
         ints = generate_set(SetSpec(family="discrete_uniform", n=12, seed=3, low=0, high=20))
         reals = generate_set(SetSpec(family="chi_square", n=12, seed=3, df=3))
+        # k = 3 of {1, 3, 5} sums to 9, off the even grid that anchors at 0
         cases = [(ints, [12], methods), (reals, [12], methods),
-                 (np.full(6, 2.5), [1, 3, 5], ["normal"])]
+                 (np.full(6, 2.5), [1, 3, 5], ["normal"]), (np.array([1, 3, 5]), [3], methods)]
         for values, ks, specs in cases:
             result = divergence_experiment(values, ks, specs, seed=1)
             assert len(result.rows) == len(ks) * len(specs)
             assert all(row["value"] == 0.0 for row in result.rows)
             assert set(result.metadata["reference"]["kind"].values()) == {"exact"}
+
+    def test_shifted_integer_sets_have_equal_divergences(self):
+        # the size-k sums of an odd set lie on k + 2Z; both grids follow them
+        odd = list(range(1, 16, 2))
+        expected = divergence_experiment(odd, [1, 3], ["normal", "kde"]).rows
+        for shift in (-4, -1, 2):
+            shifted = divergence_experiment([x + shift for x in odd], [1, 3], ["normal", "kde"])
+            assert [r["value"] for r in shifted.rows] == [r["value"] for r in expected]
 
     def test_sampled_reference_for_large_real_sets(self):
         values = generate_set(SetSpec(family="chi_square", n=3000, seed=2, df=3))
