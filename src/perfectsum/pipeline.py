@@ -11,6 +11,7 @@ for the whole run; no stratum is silently left out of the total.
 
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 import sys
@@ -60,6 +61,15 @@ EXACT_STRATUM_BUDGET = 1_000_000
 
 # auto_granularity reads the set in chunks of this many values
 _GCD_CHUNK = 1 << 14
+
+# Decimal arithmetic on integers that cannot round: a step that is not
+# exact raises instead
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation],
+)
 
 
 @dataclass(frozen=True)
@@ -175,13 +185,29 @@ class ApproxReport:
         return by_k
 
     def to_json_dict(self) -> dict:
-        """Stable JSON shape: the rows as ``per_k`` columns, counts as decimal strings."""
+        """Stable JSON shape: the rows as ``per_k`` columns, counts as decimal strings.
+
+        The total's digits come from ``str(int)``, first, so a total past the
+        interpreter's integer-to-string digit limit raises ValueError before
+        any count is converted. An exact report's counts come from
+        ``str(int)`` too. An approx report's counts are computed again from
+        its own ``ks`` and ``probabilities``, by the same ``_counts`` ladder
+        that made ``counts``, in exact ``decimal`` arithmetic: libmpdec
+        steps and prints a count in time linear in its digits, where
+        CPython 3.11's ``str(int)`` is quadratic.
+        """
         doc = dict(self.meta)
         doc["total"] = str(self.total)
+        ks, probs = self.ks.tolist(), self.probabilities.tolist()
+        if self.meta["command"] == "approx":
+            with decimal.localcontext(_EXACT):
+                counts = [str(c) for c in _counts(self.meta["n"], ks, probs, decimal.Decimal)]
+        else:
+            counts = [str(c) for c in self.counts]
         doc["per_k"] = {
-            "k": self.ks.tolist(),
-            "probability": self.probabilities.tolist(),
-            "count": [str(c) for c in self.counts],
+            "k": ks,
+            "probability": probs,
+            "count": counts,
             "method_used": list(self.methods),
         }
         terms = self.diagnostics
@@ -227,8 +253,12 @@ def auto_granularity(values) -> float:
     return float(g) if g > 0 else 1.0
 
 
-def _round_half_even(p: float, c: int) -> int:
-    """round-half-even(p * c) with the float p expanded exactly."""
+def _round_half_even(p: float, c):
+    """round-half-even(p * c) with the float p expanded exactly.
+
+    ``c`` is an int, or an integral ``decimal.Decimal`` under ``_EXACT``;
+    the result is of the same type (0 for p <= 0), with the same digits.
+    """
     if p <= 0.0:
         return 0
     if p >= 1.0:
@@ -258,6 +288,22 @@ def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
     # whichever other strata are asked for
     sums = sample_subset_sums(values, k, config.samples, per_k_seed(config.seed, k))
     return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
+
+
+def _counts(n: int, ks: list, probs: list, kind):
+    """Yield round-half-even(p * C(n, k)) for each ascending k and its p, as ``kind``.
+
+    The binomial recurrence steps C from one k to the next. ``kind`` is
+    ``int`` or ``decimal.Decimal``; a Decimal ladder must run under
+    ``_EXACT``, where it yields the same integers.
+    """
+    at = ks[0] if ks else 0
+    c = kind(math.comb(n, at))
+    for k, p in zip(ks, probs):
+        for j in range(at, k):
+            c = c * (n - j) // (j + 1)
+        at = k
+        yield _round_half_even(p, c)
 
 
 def per_k_seed(master_seed: int, k: int) -> int:
@@ -338,18 +384,10 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         exact_ks.add(k)
 
     # the report keeps the strata of positive probability (an exact share is
-    # at least 1 / C > 0), and only they cost Python work: the binomial
-    # recurrence steps from one such k to the next
+    # at least 1 / C > 0), and only they cost Python work
     idx = np.flatnonzero(probs > 0.0)
     kept = ks[idx].tolist()
-    counts = []
-    at = kept[0] if kept else 0
-    c = math.comb(n, at)
-    for k, p in zip(kept, probs[idx].tolist()):
-        for j in range(at, k):
-            c = c * (n - j) // (j + 1)
-        at = k
-        counts.append(_round_half_even(p, c))
+    counts = list(_counts(n, kept, probs[idx].tolist(), int))
 
     diagnostics = berry_esseen_terms(arr, ks) if config.diagnostics else None
 

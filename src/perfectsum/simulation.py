@@ -79,6 +79,15 @@ class SetSpec:
             _check_number(name, getattr(self, name), kind)
         if self.n < 1:
             raise ValueError(f"set size must be >= 1, got {self.n}")
+        if self.family == "discrete_uniform":
+            # the draw is on the integers of [low, high]; a fractional bound
+            # would be truncated past the range it names
+            for name in ("low", "high"):
+                value = getattr(self, name)
+                if value != int(value):
+                    raise ValueError(
+                        f"a discrete_uniform set needs an integer {name}, got {value!r}"
+                    )
         need, met = {"uniform": ("low < high", self.low < self.high),
                      "discrete_uniform": ("low <= high", self.low <= self.high),
                      "chi_square": ("df > 0", self.df > 0),

@@ -1,7 +1,10 @@
 """Pipeline tests: counting loop, rounding, hybrid mode, report shape."""
 
+import decimal
 import json
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +20,13 @@ from perfectsum import (
     exact_perfect_sum,
     set_statistics,
 )
+from perfectsum import pipeline
 from perfectsum.pipeline import (
+    _EXACT,
     _GCD_CHUNK,
     EXACT_STRATUM_BUDGET,
     _build_distribution,
+    _counts,
     _round_half_even,
 )
 
@@ -66,6 +72,19 @@ class TestRounding:
                     ties.add(got > Fraction(p) * c)
         # exact ties occur, rounding both up (0.5 * 7) and down (0.5 * 5)
         assert ties == {False, True}
+
+    def test_int_and_decimal_round_alike(self, rng):
+        # ties (odd c times a power-of-two fraction), the float extremes and p = 1
+        ps = [0.5, 0.25, 0.75, 5e-324, 1.0 - 2.0**-53, 1.0, 0.1]
+        ps += rng.random(30).tolist() + (rng.random(10) ** 40).tolist()
+        cs = [1, 3, 5, 7, 255, 10**399 + 1, 10**400 - 1, math.comb(1000, 500)]
+        cs += [int("".join(map(str, rng.integers(0, 10, d)))) | 1 for d in (17, 90, 400)]
+        assert max(len(str(c)) for c in cs) == 400
+        with decimal.localcontext(_EXACT):
+            for p in ps:
+                for c in cs:
+                    got = _round_half_even(p, Decimal(c))
+                    assert str(got) == str(_round_half_even(p, c)), (p, c)
 
     def test_exact_share_rounds_back_to_its_count(self, rng):
         # a hybrid stratum keeps count / C with C <= the exact budget, and the
@@ -483,6 +502,19 @@ class TestCountMaterialisation:
                     exact_ks = [k for k, m in methods.items() if m == "exact"]
                     assert exact_ks == [k for k in methods if k <= exact_small_k]
 
+    def test_int_and_decimal_ladders_agree(self, rng):
+        # a sparse k list with gaps of every length, both ends of 1..n, and
+        # probabilities from the float extremes to exact ties
+        n = 5000
+        ks = np.unique(np.concatenate([[1, 2, 3, 2500, n - 1, n],
+                                       rng.choice(np.arange(4, n - 1), 200, replace=False)]))
+        probs = rng.random(ks.size)
+        probs[:6] = [1.0, 0.5, 5e-324, 0.75, 1.0 - 2.0**-53, 0.25]
+        ks, probs = ks.tolist(), probs.tolist()
+        with decimal.localcontext(_EXACT):
+            emitted = [str(c) for c in _counts(n, ks, probs, Decimal)]
+        assert emitted == [str(c) for c in _counts(n, ks, probs, int)]
+
 
 class TestAutoGranularity:
     def test_integer_sets_use_gcd(self):
@@ -633,6 +665,40 @@ class TestReportSerialization:
         per_k = report.to_json_dict()["per_k"]
         assert per_k == self._kept_columns(report)
         assert per_k["count"][:3] == ["1", "560", "156520"]
+
+    @staticmethod
+    def _mid_report(n):
+        values = np.random.default_rng(n).integers(0, 21, n).astype(float)
+        return approximate_perfect_sum(values, float(round(values.sum() / 2)),
+                                       ApproxConfig(relation="ge"))
+
+    def test_decimal_counts_match_the_int_counts(self):
+        # counts of over 4,000 digits, just below the interpreter's limit
+        report = self._mid_report(14_000)
+        doc = report.to_json_dict()
+        assert 4000 < max(len(c) for c in doc["per_k"]["count"]) <= 4300
+        assert doc["per_k"]["count"] == [str(c) for c in report.counts]
+        assert doc["total"] == str(report.total) and sum(report.counts) == report.total
+
+    def test_total_past_the_digit_limit_raises_before_any_count(self, monkeypatch):
+        # pins today's behaviour: the n = 20,000 total has about 6,000 digits, and
+        # its str(int) raises before the counts are converted. Lifting the
+        # limit will change this; the counts past it are checked already
+        report = self._mid_report(20_000)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "_counts", None)  # a count converted first fails
+                with pytest.raises(ValueError, match="integer string conversion"):
+                    report.to_json_dict()
+            sys.set_int_max_str_digits(0)
+        try:
+            doc = report.to_json_dict()
+            assert max(len(c) for c in doc["per_k"]["count"]) > 4300
+            assert doc["per_k"]["count"] == [str(c) for c in report.counts]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_counts_by_k_covers_all_k(self):
         report = exact_perfect_sum([1, 2, 3, 4], 5, "eq")

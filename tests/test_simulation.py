@@ -29,6 +29,16 @@ class TestGenerateSet:
         assert np.array_equal(values, np.rint(values))
         assert values.min() >= 0 and values.max() <= 20
 
+    def test_discrete_uniform_bounds_must_be_integers(self):
+        for low, high, name in ((0.5, 2.5, "low"), (0, 2.5, "high"), (-1, 1e-9, "high")):
+            with pytest.raises(ValueError, match=f"needs an integer {name}, got"):
+                SetSpec(family="discrete_uniform", n=1000, low=low, high=high)
+        # an integral float is the integer it equals
+        floats = generate_set(SetSpec(family="discrete_uniform", n=500, seed=4, low=0.0, high=20.0))
+        ints = generate_set(SetSpec(family="discrete_uniform", n=500, seed=4, low=0, high=20))
+        assert np.array_equal(floats, ints)
+        assert floats.min() == 0 and floats.max() == 20
+
     def test_chi_square_sample_mean(self):
         spec = SetSpec(family="chi_square", n=20_000, seed=3, df=3)
         values = generate_set(spec)
