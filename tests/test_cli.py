@@ -342,9 +342,9 @@ class TestSimulateCommand:
             ({"family": "uniform", "seed": 1.5}, "seed"),
             ({"family": "uniform", "low": 2, "high": 2}, "low < high"),
             ({"family": "discrete_uniform", "low": 3, "high": 2}, "low <= high"),
+            ({"family": "custom_file"}, "path"),
             ({"family": "discrete_uniform", "low": 0.5, "high": 2.5}, "integer low"),
             ({"family": "discrete_uniform", "high": 2.5}, "integer high"),
-            ({"family": "custom_file"}, "path"),
         ],
     )
     def test_set_spec_fields_checked(self, capsys, tmp_path, fields, name):
