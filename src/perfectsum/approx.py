@@ -14,16 +14,16 @@ how far the standardized subset sum can be from the standard normal.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from .exact import RELATIONS
+from .exact import _check_query
 from .moments import (
     SetStatistics,
     _check_k,
+    _check_number,
     _subset_sum_variance,
     set_statistics,
     subset_sum_mean,
@@ -253,12 +253,6 @@ def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> 
     return sums <= target
 
 
-def _check_granularity(g: float) -> None:
-    # a bool is an int to Python, but a JSON true is no granularity
-    if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0 <= g < math.inf:
-        raise ValueError(f"granularity must be >= 0 and finite, got {g!r}")
-
-
 def probability_query(dist, target: float, relation: str, granularity: float = 0.0):
     """P(sum {=, >=, <=} target) under an approximating distribution.
 
@@ -272,11 +266,12 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
     window (or equals the target when g = 0).
     Works for any object with a ``cdf``; one without ``variance`` (a
     kernel density model) is continuous. Returns a float for scalar
-    parameters and an array, one entry per stratum, for array ones.
+    parameters and an array, one entry per stratum, for array ones. A NaN
+    target, an unknown relation, or a granularity that is negative or not
+    finite raises ValueError.
     """
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-    _check_granularity(granularity)
+    _check_query(target, relation)
+    _check_number("granularity", granularity, low=0)
 
     atom = np.asarray(getattr(dist, "variance", 1.0)) <= 0.0
     g = granularity

@@ -19,7 +19,7 @@ __all__ = ["DiscretePmf", "discretize", "js_divergence"]
 
 @dataclass(eq=False)
 class DiscretePmf:
-    """A pmf on a finite sorted support; masses sum to 1 within 1e-9.
+    """A pmf on a finite sorted support of finite points; masses sum to 1 within 1e-9.
 
     ``captured_mass`` records how much of the source distribution the
     support grid captured before renormalization (1.0 for natively
@@ -37,6 +37,9 @@ class DiscretePmf:
             raise ValueError("support and mass must have equal length")
         if self.support.size == 0:
             raise ValueError("empty support")
+        # a NaN passes every comparison below unseen
+        if not (np.isfinite(self.support).all() and np.isfinite(self.mass).all()):
+            raise ValueError("support and mass must be finite")
         if np.any(np.diff(self.support) <= 0):
             raise ValueError("support must be strictly increasing (no duplicates)")
         if np.any(self.mass < 0):
@@ -59,11 +62,12 @@ def discretize(dist, support, granularity: float) -> DiscretePmf:
     ------
     ValueError
         If the windows capture less than 1e-6 of the distribution
-        ("support misses the distribution") or the spacing is too fine.
+        ("support misses the distribution"), the spacing is too fine, or
+        the granularity is not a finite number > 0.
     """
     support = np.asarray(support, dtype=np.float64).reshape(-1)
-    if granularity <= 0:
-        raise ValueError(f"granularity must be > 0, got {granularity}")
+    if not 0 < granularity < math.inf:
+        raise ValueError(f"granularity must be > 0 and finite, got {granularity}")
     if support.size == 0:
         raise ValueError("empty support")
     if support.size > 1 and np.min(np.diff(support)) < granularity * (1 - 1e-12):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import DiscretePmf
-from .moments import _check_k, as_finite_array
+from .moments import _check_k, _check_number, _integral, as_finite_array
 
 __all__ = [
     "InfeasibleError",
@@ -82,16 +82,15 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_query(target: float, relation: str) -> None:
+def _check_relation(relation: str) -> None:
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
+
+
+def _check_query(target: float, relation: str) -> None:
+    _check_relation(relation)
     if math.isnan(target):
         raise ValueError(f"target must be a number, got {target}")
-
-
-def _check_tolerance(tolerance: float) -> None:
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance}")
 
 
 def _doubling_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +135,7 @@ def enumerate_counts(
         that is negative or not finite.
     """
     _check_query(target, relation)
-    _check_tolerance(tolerance)
+    _check_number("tolerance", tolerance, low=0)
     arr = as_finite_array(values)
     n = arr.size
     if n > cap:
@@ -243,19 +242,9 @@ def _half_sums(arr: np.ndarray, k: int) -> np.ndarray:
     return _sums_of_size(arr, k)
 
 
-def _integer_valued(arr: np.ndarray) -> np.ndarray | None:
-    """The int64 form of a float array whose entries are all integers, else None."""
-    rounded = np.rint(arr)
-    return rounded.astype(np.int64) if np.array_equal(arr, rounded) else None
-
-
-def _as_int_array(values) -> np.ndarray:
-    ints = _integer_valued(as_finite_array(values))
-    if ints is None:
-        raise ValueError(
-            "dp_counts requires an integer-valued set; pre-scale rationals first"
-        )
-    return ints
+def _sum_range(ints: np.ndarray) -> tuple[int, int]:
+    """(lo, hi): the sums of the negative and of the positive entries, as Python ints."""
+    return sum(ints[ints < 0].tolist()), sum(ints[ints > 0].tolist())
 
 
 def dp_counts(
@@ -267,7 +256,9 @@ def dp_counts(
 ) -> CountBySize:
     """Exact subset counts per size k via dynamic programming on (k, partial sum).
 
-    Requires an integer-valued set. Every relation is read off one table
+    Requires an integer-valued set of magnitudes below 2^62, within which
+    int64 holds every value exactly (``moments._integral``); a set with a
+    larger value counts as real-valued. Every relation is read off one table
     of counts per (k, sum) at an integer bound b: ``eq`` reads column
     b = target, ``le`` sums the prefix up to b = floor(target), and
     ``ge`` is the complement C(n, k) minus the ``le`` count at
@@ -286,10 +277,12 @@ def dp_counts(
         reports the computed size).
     """
     _check_query(target, relation)
-    ints = _as_int_array(values)
+    arr = as_finite_array(values)
+    if not _integral(arr):
+        raise ValueError("dp_counts needs integers of magnitude < 2^62; pre-scale rationals first")
+    ints = arr.astype(np.int64)
     n = ints.size
-    lo = int(ints[ints < 0].sum())
-    hi = int(ints[ints > 0].sum())
+    lo, hi = _sum_range(ints)
 
     # clamping keeps an infinite target out of the integer bound and changes no count
     target = min(max(target, lo - 1), hi + 1)
@@ -375,7 +368,8 @@ def _sum_table(
 def exact_sum_pmf(values, k: int) -> DiscretePmf:
     """Exact pmf of the sum of a uniform random size-k subset.
 
-    Integer-valued sets go through the DP table, which is exact and fast
+    Integer-valued sets (every value below 2^62 in magnitude, as for
+    ``dp_counts``) go through the DP table, which is exact and fast
     regardless of C(n, k). It builds only the sizes up to min(k, n - k):
     when k > n/2 a k-subset with sum s leaves an (n - k)-subset with sum
     total - s, so the pmf is row n - k read backwards. Real-valued sets
@@ -389,10 +383,9 @@ def exact_sum_pmf(values, k: int) -> DiscretePmf:
     _check_k(k, n)
     total_subsets = math.comb(n, k)
 
-    ints = _integer_valued(arr)
-    if ints is not None:
-        lo = int(ints[ints < 0].sum())
-        hi = int(ints[ints > 0].sum())
+    if _integral(arr):
+        ints = arr.astype(np.int64)
+        lo, hi = _sum_range(ints)
         r = min(k, n - k)
         row = _sum_table(ints, lo, hi, _DEFAULT_MAX_TABLE_CELLS, rows=r)[r]
         if r < k:

@@ -57,6 +57,11 @@ _SAMPLE_BLOCK_CELLS = 20_000_000
 _FLOYD_CHUNK_ROWS = 4096
 
 
+def _check_samples(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"need at least 2 samples for a bandwidth, got m={m}")
+
+
 def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
     """Sums of m independent uniformly random size-k subsets.
 
@@ -76,8 +81,7 @@ def sample_subset_sums(values, k: int, m: int, seed: int) -> np.ndarray:
     arr = as_finite_array(values)
     n = arr.size
     _check_k(k, n)
-    if m < 2:
-        raise ValueError(f"need at least 2 samples for a bandwidth, got m={m}")
+    _check_samples(m)
 
     if k == n:
         return np.full(m, arr.sum(), dtype=np.float64)
@@ -149,8 +153,7 @@ def shared_subset_sums(values, k_lo: int, k_hi: int, m: int, seed: int) -> Itera
     n = arr.size
     if k_lo <= k_hi and not 1 <= k_lo <= k_hi < n:
         raise ValueError(f"sampled subset sizes must lie in 1..{n - 1}, got {k_lo}..{k_hi}")
-    if m < 2:
-        raise ValueError(f"need at least 2 samples for a bandwidth, got m={m}")
+    _check_samples(m)
     group = max(1, _SAMPLE_BLOCK_CELLS // m)
     for g_lo in range(k_lo, k_hi + 1, group):
         g_hi = min(g_lo + group - 1, k_hi)

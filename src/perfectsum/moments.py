@@ -9,6 +9,9 @@ suite checks them against full enumeration.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,9 @@ __all__ = [
     "pair_covariance",
     "pair_product_expectation",
 ]
+
+# integrality tests and gcd scans read a set in chunks of this many values
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,34 @@ class SetStatistics:
     variance: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"set size must be >= 1, got {self.n}")
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
+        _check_number("set size", self.n, numbers.Integral, low=1)
+        # a set whose sum or squares pass the float range has an infinite or
+        # NaN moment, whose normal cdf is NaN for every stratum
+        _check_number("set mean", self.mean)
+        _check_number("set variance", self.variance, low=0)
+
+
+def _check_number(name: str, value, kind=numbers.Real, optional=False, *, low=None) -> None:
+    """Raise ValueError unless ``value`` is a ``kind`` number (or None if ``optional``).
+
+    A real must be finite as a float, which an int past its range is not. With
+    ``low`` it must be >= ``low`` too, and every failure states the whole rule.
+    """
+    if value is None and optional:
+        return
+    integral = kind is numbers.Integral
+    # a bool is an int to Python, but a JSON true is no number
+    typed = not isinstance(value, bool) and isinstance(value, kind)
+    top = math.inf if integral else sys.float_info.max
+    if typed and (-top if low is None else low) <= value <= top:
+        return
+    if low is not None:
+        rule = f"an integer >= {low}" if integral else f">= {low} and finite"
+    elif typed:
+        rule = "finite as a float"
+    else:
+        rule = ("an integer" if integral else "a real number") + (" or None" if optional else "")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def as_finite_array(values) -> np.ndarray:
@@ -70,10 +100,27 @@ def set_statistics(values) -> SetStatistics:
     Raises
     ------
     ValueError
-        On an empty set or any non-finite element.
+        On an empty set, any non-finite element, or a mean or variance
+        that is not finite as a float (a sum or square past its range).
     """
     arr = as_finite_array(values)
-    return SetStatistics(n=int(arr.size), mean=float(arr.mean()), variance=float(arr.var()))
+    # an overflowing sum or square is left to SetStatistics to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, variance = float(arr.mean()), float(arr.var())
+    return SetStatistics(n=int(arr.size), mean=mean, variance=variance)
+
+
+def _integral(arr: np.ndarray) -> bool:
+    """Whether the float array is a nonempty set of integers of magnitude below 2^62.
+
+    Below 2^62 the int64 form of every value, and every difference of two,
+    is exact; a set beyond it is real-valued. Read in chunks of ``_CHUNK``.
+    """
+    for i in range(0, arr.size, _CHUNK):
+        c = arr[i : i + _CHUNK]
+        if np.count_nonzero(c != np.rint(c)) or max(-c.min(), c.max()) >= 2.0**62:
+            return False
+    return arr.size > 0
 
 
 def _check_k(k, n: int) -> None:

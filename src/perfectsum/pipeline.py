@@ -14,7 +14,6 @@ from __future__ import annotations
 import decimal
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -26,7 +25,6 @@ from .approx import (
     ChiSquareSum,
     IrwinHallSum,
     NormalSum,
-    _check_granularity,
     _relation_mask,
     berry_esseen_terms,
     normal_sum_approx,
@@ -36,11 +34,13 @@ from .exact import binomial
 from .kde import (
     DEFAULT_KDE_SAMPLES,
     KdeModel,
+    _check_samples,
     fit_bandwidth,
     sample_subset_sums,
     shared_subset_sums,
 )
-from .moments import SetStatistics, as_finite_array, set_statistics
+from .moments import _CHUNK, SetStatistics, _check_number, _integral, as_finite_array
+from .moments import set_statistics
 
 __all__ = [
     "ApproxConfig",
@@ -58,9 +58,6 @@ _MODEL_FIELDS = ("low", "high", "df", "samples", "seed")
 
 # Hybrid mode never enumerates a stratum larger than this.
 EXACT_STRATUM_BUDGET = 1_000_000
-
-# auto_granularity reads the set in chunks of this many values
-_GCD_CHUNK = 1 << 14
 
 # Decimal arithmetic on integers that cannot round: a step that is not
 # exact raises instead
@@ -102,38 +99,22 @@ class ApproxConfig:
 
     def __post_init__(self):
         for name in ("low", "high", "df"):
-            _check_number(name, getattr(self, name), numbers.Real, optional=True)
-        for name in ("k_min", "k_max", "exact_small_k", "samples", "seed"):
+            _check_number(name, getattr(self, name), optional=True)
+        for name in ("k_min", "k_max", "samples", "seed"):
             _check_number(name, getattr(self, name), numbers.Integral, name.startswith("k_"))
-        if self.granularity is not None:
-            _check_granularity(self.granularity)
+        _check_number("exact_small_k", self.exact_small_k, numbers.Integral, low=0)
+        _check_number("granularity", self.granularity, optional=True, low=0)
         if not isinstance(self.diagnostics, bool):
             raise ValueError(f"diagnostics must be a bool, got {self.diagnostics!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.relation not in exact_mod.RELATIONS:
-            raise ValueError(f"relation must be one of {exact_mod.RELATIONS}")
-        if self.exact_small_k < 0:
-            raise ValueError("exact_small_k must be >= 0")
+        exact_mod._check_relation(self.relation)
         if self.method == "irwin_hall" and (self.low is None or self.high is None):
             raise ValueError("irwin_hall method needs low and high bounds")
         if self.method == "chi_square" and self.df is None:
             raise ValueError("chi_square method needs df")
-        if self.method == "kde" and self.samples < 2:
-            raise ValueError(f"need at least 2 samples for a bandwidth, got m={self.samples}")
-
-
-def _check_number(name: str, value, kind, optional: bool = False) -> None:
-    """Raise ValueError unless ``value`` is a ``kind`` number (or None if ``optional``)."""
-    if value is None and optional:
-        return
-    # a bool is an int to Python, but a JSON true is no number
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is numbers.Integral else "a real number"
-        raise ValueError(f"{name} must be {what}{' or None' if optional else ''}, got {value!r}")
-    # a real must be finite as a float, which an int beyond the float range is not
-    if kind is numbers.Real and not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite as a float, got {value!r}")
+        if self.method == "kde":
+            _check_samples(self.samples)
 
 
 def _config_from(doc: dict, names=None, **defaults) -> ApproxConfig:
@@ -235,19 +216,20 @@ def _json_reals(a: np.ndarray) -> list:
 def auto_granularity(values) -> float:
     """Sum-lattice spacing: gcd of pairwise differences for integer sets, else 0.
 
-    A constant integer set has no spacing information and falls back to 1.
-    The set is read in chunks of ``_GCD_CHUNK`` values. Every chunk is
-    checked for integrality, but the differences stop being reduced once
-    their gcd is 1: the whole set's gcd divides each chunk's, so it is 1 too.
+    A set is integer-valued when every value is an integer of magnitude
+    below 2^62 (``moments._integral``); a set with a larger value is read
+    as real-valued and gets 0. A constant integer set has no spacing
+    information and falls back to 1. The differences are taken in chunks
+    of ``moments._CHUNK`` values and stop being reduced once their gcd is
+    1: the whole set's gcd divides each chunk's, so it is 1 too.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    chunks = [arr[i : i + _GCD_CHUNK] for i in range(0, arr.size, _GCD_CHUNK)]
-    if not chunks or any(np.count_nonzero(c != np.rint(c)) for c in chunks):
+    if not _integral(arr):
         return 0.0
     first = arr[:1].astype(np.int64)
     g = 0
-    for chunk in chunks:
-        g = math.gcd(g, int(np.gcd.reduce(np.abs(chunk.astype(np.int64) - first))))
+    for i in range(0, arr.size, _CHUNK):
+        g = math.gcd(g, int(np.gcd.reduce(np.abs(arr[i : i + _CHUNK].astype(np.int64) - first))))
         if g == 1:
             break
     return float(g) if g > 0 else 1.0
@@ -421,10 +403,11 @@ def exact_perfect_sum(
     """Ground-truth counts in the same report shape as the approximation.
 
     ``engine`` picks the oracle: ``enumerate`` (any values, n capped at
-    ``exact.DEFAULT_ENUMERATION_CAP``), ``dp`` (integer values, bounded
-    sum range, exact sums only, so ``tolerance`` must be 0), or ``auto``
-    (dp when it applies, else enumeration). The rows are the k of nonzero
-    count, and the probability column is count / C(n, k).
+    ``exact.DEFAULT_ENUMERATION_CAP``), ``dp`` (integer values below 2^62
+    in magnitude, bounded sum range, exact sums only, so ``tolerance``
+    must be 0), or ``auto`` (dp when it applies, else enumeration: a set
+    with a value of 2^62 or more in magnitude is enumerated). The rows are
+    the k of nonzero count, and the probability column is count / C(n, k).
 
     Raises
     ------
@@ -437,7 +420,7 @@ def exact_perfect_sum(
     """
     if engine not in ("auto", "enumerate", "dp"):
         raise ValueError(f"engine must be auto, enumerate or dp, got {engine!r}")
-    exact_mod._check_tolerance(tolerance)
+    _check_number("tolerance", tolerance, low=0)
     if engine == "dp" and tolerance != 0.0:
         raise ValueError(f"the dp engine counts exact sums; tolerance must be 0, got {tolerance}")
     arr = as_finite_array(values)
@@ -445,8 +428,7 @@ def exact_perfect_sum(
 
     chosen = engine
     if engine == "auto":
-        integral = exact_mod._integer_valued(arr) is not None
-        chosen = "dp" if integral and tolerance == 0.0 else "enumerate"
+        chosen = "dp" if _integral(arr) and tolerance == 0.0 else "enumerate"
 
     if chosen == "dp":
         result = exact_mod.dp_counts(arr, target, relation)

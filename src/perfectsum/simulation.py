@@ -16,23 +16,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .approx import _check_granularity
 from .evaluation import DiscretePmf, discretize, js_divergence
 from .exact import (
     DEFAULT_ENUMERATION_CAP,
     InfeasibleError,
-    _integer_valued,
     binomial,
     exact_sum_pmf,
 )
 from .inputs import read_input
 from .kde import sample_subset_sums
-from .moments import set_statistics
+from .moments import _check_number, _integral, set_statistics
 from .pipeline import (
     _MODEL_FIELDS,
     ApproxConfig,
     _build_distribution,
-    _check_number,
     _config_echo,
     _config_from,
     approximate_perfect_sum,
@@ -74,11 +71,10 @@ class SetSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; options: {FAMILIES}")
-        for name, kind in (("n", numbers.Integral), ("seed", numbers.Integral),
-                           ("low", numbers.Real), ("high", numbers.Real), ("df", numbers.Real)):
+        _check_number("n", self.n, numbers.Integral, low=1)
+        for name, kind in (("seed", numbers.Integral), ("low", numbers.Real),
+                           ("high", numbers.Real), ("df", numbers.Real)):
             _check_number(name, getattr(self, name), kind)
-        if self.n < 1:
-            raise ValueError(f"set size must be >= 1, got {self.n}")
         if self.family == "discrete_uniform":
             # the draw is on the integers of [low, high]; a fractional bound
             # would be truncated past the range it names
@@ -169,7 +165,7 @@ def _row_sort_key(row: dict):
 
 def _half_total_target(values: np.ndarray) -> float:
     total = float(values.sum())
-    if _integer_valued(values) is not None:
+    if _integral(values):
         return float(round(0.5 * total))
     return 0.5 * total
 
@@ -252,7 +248,7 @@ def _raw_reference(
     experiment seed (``pipeline.per_k_seed``), so the two share no draws.
     """
     n = arr.size
-    if _integer_valued(arr) is not None or binomial(n, k) <= MAX_EXACT_REFERENCE_SUBSETS:
+    if _integral(arr) or binomial(n, k) <= MAX_EXACT_REFERENCE_SUBSETS:
         pmf = exact_sum_pmf(arr, k)
         return pmf.support, pmf.mass, "exact"
     child = np.random.SeedSequence((seed, k)).spawn(1)[0]
@@ -313,11 +309,9 @@ def divergence_experiment(
     are not integers >= 1 (a bool is no integer here) and a granularity
     that is negative or not finite.
     """
-    for name, count in (("bins", bins), ("ref_samples", ref_samples)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-    if granularity is not None:
-        _check_granularity(granularity)
+    _check_number("bins", bins, numbers.Integral, low=1)
+    _check_number("ref_samples", ref_samples, numbers.Integral, low=1)
+    _check_number("granularity", granularity, optional=True, low=0)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
     n = stats.n
@@ -331,7 +325,7 @@ def divergence_experiment(
     grans: dict[str, float] = {}
     ref_kinds: dict[str, str] = {}
     base_g = auto_granularity(arr) if granularity is None else float(granularity)
-    lattice_base = float(arr.min()) if _integer_valued(arr) is not None else None
+    lattice_base = float(arr.min()) if _integral(arr) else None
 
     for k in k_values:
         points, weights, kind = _raw_reference(arr, k, seed, ref_samples)

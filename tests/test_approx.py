@@ -184,6 +184,11 @@ class TestProbabilityQuery:
         ):
             assert probability_query(dist, -1e9, "ge", 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_nan_target_rejected(self):
+        # the query returned nan
+        with pytest.raises(ValueError, match="target must be a number"):
+            probability_query(NormalSum(0.0, 1.0), math.nan, "ge", 1.0)
+
     def test_eq_without_granularity_rejected(self):
         with pytest.raises(ValueError, match="granularity"):
             probability_query(NormalSum(0.0, 1.0), 0.0, "eq", 0.0)

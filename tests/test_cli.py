@@ -75,6 +75,15 @@ class TestExactCommand:
         assert code == 1
         assert "integer" in err
 
+    def test_value_past_2_62_is_enumerated(self, capsys, tmp_path):
+        # 1e19 wrapped in the int64 cast of the auto engine's DP: total 0
+        path = tmp_path / "big.txt"
+        path.write_text("1e19\n1\n2\n")
+        code, out, _ = run_cli(capsys, "exact", str(path), "--target", "5", "--relation", "ge")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"], doc["total"]) == ("enumerate", "4")
+
     def test_dp_engine_rejects_tolerance(self, capsys, vals4):
         code, out, err = run_cli(
             capsys, "exact", vals4, "--target", "5", "--relation", "eq",
@@ -405,6 +414,23 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "exact", "/nonexistent", "--target", "1", "--relation", "eq")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["approx", "evaluate", "simulate"])
+    def test_overflowing_set_statistics_are_input_errors(self, capsys, tmp_path, command):
+        # the sum passes the float range: approx counted 1 of the 7 subsets
+        path = tmp_path / "huge.txt"
+        path.write_text("1e308\n1e308\n5\n")
+        cfg = tmp_path / "cfg.json"
+        config = {"experiment": "divergence", "k_values": [2], "methods": ["normal"],
+                  "set": {"family": "custom_file", "n": 3, "path": str(path)}}
+        cfg.write_text(json.dumps(config))
+        argv = {"approx": [str(path), "--target", "0", "--relation", "ge"],
+                "evaluate": [str(path), "--k", "2"],
+                "simulate": ["--config", str(cfg), "--out", str(tmp_path / "out")]}[command]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert "input error: set mean must be finite" in err
 
     @pytest.mark.parametrize("command", ["exact", "approx"])
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1e400"])

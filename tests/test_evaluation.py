@@ -31,6 +31,16 @@ class TestDiscretePmf:
         with pytest.raises(ValueError, match="negative"):
             DiscretePmf(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize(
+        "support, mass",
+        [([0.0, 1.0], [0.5, math.nan]), ([0.0, math.nan], [0.5, 0.5]),
+         ([0.0, math.inf], [0.5, 0.5])],
+        ids=["nan_mass", "nan_support", "inf_support"],
+    )
+    def test_non_finite_support_or_mass_rejected(self, support, mass):
+        with pytest.raises(ValueError, match="support and mass must be finite"):
+            DiscretePmf(support=support, mass=mass)
+
 
 class TestDiscretize:
     def test_degenerate_hits_one_bin(self):
@@ -58,6 +68,12 @@ class TestDiscretize:
     def test_missed_support_rejected(self):
         with pytest.raises(ValueError, match="misses"):
             discretize(NormalSum(1000.0, 1.0), np.arange(0.0, 5.0), 1.0)
+
+    @pytest.mark.parametrize("granularity", [math.nan, math.inf, 0.0, -1.0])
+    def test_granularity_must_be_finite_and_positive(self, granularity):
+        # a NaN granularity returned a NaN mass
+        with pytest.raises(ValueError, match="granularity must be > 0 and finite"):
+            discretize(NormalSum(0.0, 1.0), [0.0], granularity)
 
     def test_spacing_below_granularity_rejected(self):
         with pytest.raises(ValueError, match="spaced"):

@@ -307,6 +307,12 @@ class TestDpCounts:
         assert dp_counts(values, 4.5, "le").counts == brute_counts(values, 4.5, "le")
         assert dp_counts(values, 4.5, "eq").total == 0
 
+    def test_integers_up_to_2_62(self):
+        # the positive sum 1.2e19 wrapped in int64; 1e19 wrapped in the cast
+        assert dp_counts([4e18] * 3, 5, "ge").counts == {1: 3, 2: 3, 3: 1}
+        with pytest.raises(ValueError, match="integers of magnitude < 2"):
+            dp_counts([1e19, 1, 2], 5, "ge")
+
     def test_table_budget(self):
         with pytest.raises(InfeasibleError, match="cells"):
             dp_counts([10**7, 10**7, 10**7], 10**7, "eq", max_cells=1000)
@@ -389,6 +395,11 @@ class TestExactSumPmf:
         pmf = exact_sum_pmf([1, 2, 3, 4], 2)
         assert pmf.support.tolist() == [3, 4, 5, 6, 7]
         assert pmf.mass.tolist() == pytest.approx([1 / 6, 1 / 6, 2 / 6, 1 / 6, 1 / 6])
+
+    def test_wide_integer_range_is_infeasible(self):
+        # the int64 sum of the positive values wrapped: "negative dimensions"
+        with pytest.raises(InfeasibleError, match="cells"):
+            exact_sum_pmf([4e18] * 3, 2)
 
     def test_constant_set_point_mass(self):
         pmf = exact_sum_pmf([2.5] * 6, 3)

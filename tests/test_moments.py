@@ -51,6 +51,18 @@ class TestSetStatistics:
             set_statistics([1.0, 2.0, -math.inf, math.nan])
 
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [([1e200, -1e200], "set variance must be >= 0 and finite, got inf"),
+         ([1e308, 1e308, 5.0], "set mean must be finite as a float, got inf")],
+        ids=["variance", "mean"],
+    )
+    def test_overflowing_moments_rejected(self, values, message):
+        # an infinite variance made every normal cdf NaN, which counted 0
+        with pytest.raises(ValueError, match=message):
+            set_statistics(values)
+
+
 class TestMembershipProbability:
     def test_half(self):
         assert membership_probability(2, 4) == 0.5

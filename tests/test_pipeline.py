@@ -21,9 +21,9 @@ from perfectsum import (
     set_statistics,
 )
 from perfectsum import pipeline
+from perfectsum.moments import _CHUNK
 from perfectsum.pipeline import (
     _EXACT,
-    _GCD_CHUNK,
     EXACT_STRATUM_BUDGET,
     _build_distribution,
     _counts,
@@ -130,6 +130,13 @@ class TestApproximatePerfectSum:
     def test_config_rejects_non_finite_floats(self, fields, message):
         with pytest.raises(ValueError, match=message):
             ApproxConfig(**fields)
+
+    @pytest.mark.parametrize("tolerance", [True, "0.5"])
+    def test_tolerance_must_be_a_number(self, tolerance):
+        # True ran as 1 and was echoed as true; "0.5" raised TypeError
+        for engine in ("auto", "enumerate"):
+            with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):
+                exact_perfect_sum([1, 2, 3], 3, "eq", tolerance, engine=engine)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
@@ -528,11 +535,16 @@ class TestAutoGranularity:
     def test_real_sets_disable(self):
         assert auto_granularity([1.5, 2.0]) == 0.0
 
+    def test_integers_from_2_62_are_real_valued(self):
+        # 6e18 - (-4e18) wrapped in int64, which gave 524288
+        assert auto_granularity([-4e18, 4e18, 6e18]) == 0.0
+        assert auto_granularity([-4e18, 4e18]) == 8e18
+
     def test_empty_set(self):
         assert auto_granularity([]) == 0.0
 
     def test_gcd_one_inside_the_first_chunk(self):
-        values = 6.0 * np.arange(3 * _GCD_CHUNK)
+        values = 6.0 * np.arange(3 * _CHUNK)
         values[1] = 7.0
         assert auto_granularity(values) == 1.0
         # the reduction stops at 1, but every chunk is still checked for integers
@@ -540,13 +552,13 @@ class TestAutoGranularity:
         assert auto_granularity(values) == 0.0
 
     def test_one_odd_value_after_the_first_chunk(self):
-        values = 2.0 * np.random.default_rng(3).integers(0, 50, 3 * _GCD_CHUNK)
+        values = 2.0 * np.random.default_rng(3).integers(0, 50, 3 * _CHUNK)
         assert auto_granularity(values) == 2.0
-        values[_GCD_CHUNK + 5] += 1
+        values[_CHUNK + 5] += 1
         assert auto_granularity(values) == 1.0
 
     def test_large_constant_set(self):
-        assert auto_granularity(np.full(2 * _GCD_CHUNK + 3, -4.0)) == 1.0
+        assert auto_granularity(np.full(2 * _CHUNK + 3, -4.0)) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -585,6 +597,12 @@ class TestExactPerfectSum:
         report = exact_perfect_sum([1, 2, 3, 4], 5, "ge")
         assert report.ks.tolist() == [2, 3, 4]
         assert report.probabilities.tolist() == pytest.approx([4 / 6, 4 / 4, 1.0])
+
+    def test_values_past_2_62_go_through_enumeration(self):
+        # the auto engine cast them to int64 for the dp, which wrapped: total 0
+        report = exact_perfect_sum([1e19, 2e19, 3e19, 4e19], 5e19, "eq")
+        assert report.meta["method"] == "enumerate"
+        assert report.total == 2
 
     def test_real_values_go_through_enumeration(self):
         report = exact_perfect_sum([1.5, 2.5, 3.0], 4.0, "ge")
