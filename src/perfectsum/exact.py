@@ -242,9 +242,11 @@ def _half_sums(arr: np.ndarray, k: int) -> np.ndarray:
     return _sums_of_size(arr, k)
 
 
-def _sum_range(ints: np.ndarray) -> tuple[int, int]:
-    """(lo, hi): the sums of the negative and of the positive entries, as Python ints."""
-    return sum(ints[ints < 0].tolist()), sum(ints[ints > 0].tolist())
+def _int_values(arr: np.ndarray) -> tuple[list[int], int, int]:
+    """(ints, lo, hi): the integral array as Python ints, which never wrap, and
+    the sums of its negative and of its positive values."""
+    ints = [int(v) for v in arr.tolist()]
+    return ints, sum(v for v in ints if v < 0), sum(v for v in ints if v > 0)
 
 
 def dp_counts(
@@ -256,9 +258,8 @@ def dp_counts(
 ) -> CountBySize:
     """Exact subset counts per size k via dynamic programming on (k, partial sum).
 
-    Requires an integer-valued set of magnitudes below 2^62, within which
-    int64 holds every value exactly (``moments._integral``); a set with a
-    larger value counts as real-valued. Every relation is read off one table
+    Requires an integer-valued set, of any magnitude: values, sums and
+    counts are Python ints. Every relation is read off one table
     of counts per (k, sum) at an integer bound b: ``eq`` reads column
     b = target, ``le`` sums the prefix up to b = floor(target), and
     ``ge`` is the complement C(n, k) minus the ``le`` count at
@@ -279,10 +280,9 @@ def dp_counts(
     _check_query(target, relation)
     arr = as_finite_array(values)
     if not _integral(arr):
-        raise ValueError("dp_counts needs integers of magnitude < 2^62; pre-scale rationals first")
-    ints = arr.astype(np.int64)
-    n = ints.size
-    lo, hi = _sum_range(ints)
+        raise ValueError("dp_counts requires an integer-valued set; pre-scale rationals first")
+    ints, lo, hi = _int_values(arr)
+    n = len(ints)
 
     # clamping keeps an infinite target out of the integer bound and changes no count
     target = min(max(target, lo - 1), hi + 1)
@@ -332,7 +332,7 @@ def _check_cells(rows: int, width: int, max_cells: int) -> None:
 
 
 def _sum_table(
-    ints: np.ndarray, lo: int, top: int, max_cells: int, rows: int | None = None
+    ints: list[int], lo: int, top: int, max_cells: int, rows: int | None = None
 ) -> np.ndarray:
     """Table with ``dp[k, s - lo]`` = number of k-subsets of ``ints`` with sum s.
 
@@ -345,14 +345,14 @@ def _sum_table(
     only that band of each row, clipped to the table. Only the sizes
     k <= ``rows`` (default n) are built; a row depends on no larger size.
     """
-    n = ints.size
+    n = len(ints)
     rows = n if rows is None else rows
     width = top - lo + 1
     _check_cells(rows + 1, width, max_cells)
     # Python int cells: a count can exceed any fixed width
     dp = np.zeros((rows + 1, width), dtype=object)
     dp[0, -lo] = 1
-    ascending = np.sort(ints).tolist()
+    ascending = sorted(ints)
     prefix = [0, *itertools.accumulate(ascending)]
     for i, x in enumerate(ascending):
         # row k gains row k - 1 shifted by x; k descends so each element is
@@ -368,8 +368,7 @@ def _sum_table(
 def exact_sum_pmf(values, k: int) -> DiscretePmf:
     """Exact pmf of the sum of a uniform random size-k subset.
 
-    Integer-valued sets (every value below 2^62 in magnitude, as for
-    ``dp_counts``) go through the DP table, which is exact and fast
+    Integer-valued sets go through the DP table, which is exact and fast
     regardless of C(n, k). It builds only the sizes up to min(k, n - k):
     when k > n/2 a k-subset with sum s leaves an (n - k)-subset with sum
     total - s, so the pmf is row n - k read backwards. Real-valued sets
@@ -384,8 +383,7 @@ def exact_sum_pmf(values, k: int) -> DiscretePmf:
     total_subsets = math.comb(n, k)
 
     if _integral(arr):
-        ints = arr.astype(np.int64)
-        lo, hi = _sum_range(ints)
+        ints, lo, hi = _int_values(arr)
         r = min(k, n - k)
         row = _sum_table(ints, lo, hi, _DEFAULT_MAX_TABLE_CELLS, rows=r)[r]
         if r < k:

@@ -111,14 +111,10 @@ def set_statistics(values) -> SetStatistics:
 
 
 def _integral(arr: np.ndarray) -> bool:
-    """Whether the float array is a nonempty set of integers of magnitude below 2^62.
-
-    Below 2^62 the int64 form of every value, and every difference of two,
-    is exact; a set beyond it is real-valued. Read in chunks of ``_CHUNK``.
-    """
+    """Whether the float array is a nonempty set of integers, read in chunks of ``_CHUNK``."""
     for i in range(0, arr.size, _CHUNK):
         c = arr[i : i + _CHUNK]
-        if np.count_nonzero(c != np.rint(c)) or max(-c.min(), c.max()) >= 2.0**62:
+        if np.count_nonzero(c != np.rint(c)):
             return False
     return arr.size > 0
 

@@ -216,20 +216,24 @@ def _json_reals(a: np.ndarray) -> list:
 def auto_granularity(values) -> float:
     """Sum-lattice spacing: gcd of pairwise differences for integer sets, else 0.
 
-    A set is integer-valued when every value is an integer of magnitude
-    below 2^62 (``moments._integral``); a set with a larger value is read
-    as real-valued and gets 0. A constant integer set has no spacing
-    information and falls back to 1. The differences are taken in chunks
-    of ``moments._CHUNK`` values and stop being reduced once their gcd is
-    1: the whole set's gcd divides each chunk's, so it is 1 too.
+    A constant integer set has no spacing information and falls back to 1.
+    The differences are taken in chunks of ``moments._CHUNK`` values and
+    stop being reduced once their gcd is 1: the whole set's gcd divides
+    each chunk's, so it is 1 too. A chunk is reduced in int64 while its
+    values and the first one lie below 2^62 in magnitude, so every
+    difference fits; a chunk past that bound is reduced in Python ints.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if not _integral(arr):
         return 0.0
-    first = arr[:1].astype(np.int64)
+    first = int(arr[0])
     g = 0
     for i in range(0, arr.size, _CHUNK):
-        g = math.gcd(g, int(np.gcd.reduce(np.abs(arr[i : i + _CHUNK].astype(np.int64) - first))))
+        c = arr[i : i + _CHUNK]
+        if max(-c.min(), c.max(), abs(first)) < 2.0**62:
+            g = math.gcd(g, int(np.gcd.reduce(np.abs(c.astype(np.int64) - first))))
+        else:
+            g = math.gcd(g, *(int(v) - first for v in c.tolist()))
         if g == 1:
             break
     return float(g) if g > 0 else 1.0
@@ -403,11 +407,10 @@ def exact_perfect_sum(
     """Ground-truth counts in the same report shape as the approximation.
 
     ``engine`` picks the oracle: ``enumerate`` (any values, n capped at
-    ``exact.DEFAULT_ENUMERATION_CAP``), ``dp`` (integer values below 2^62
-    in magnitude, bounded sum range, exact sums only, so ``tolerance``
-    must be 0), or ``auto`` (dp when it applies, else enumeration: a set
-    with a value of 2^62 or more in magnitude is enumerated). The rows are
-    the k of nonzero count, and the probability column is count / C(n, k).
+    ``exact.DEFAULT_ENUMERATION_CAP``), ``dp`` (integer values, bounded
+    sum range, exact sums only, so ``tolerance`` must be 0), or ``auto``
+    (dp when it applies, else enumeration). The rows are the k of nonzero
+    count, and the probability column is count / C(n, k).
 
     Raises
     ------

@@ -75,14 +75,17 @@ class TestExactCommand:
         assert code == 1
         assert "integer" in err
 
-    def test_value_past_2_62_is_enumerated(self, capsys, tmp_path):
+    def test_value_past_int64_is_counted_exactly(self, capsys, tmp_path):
         # 1e19 wrapped in the int64 cast of the auto engine's DP: total 0
         path = tmp_path / "big.txt"
         path.write_text("1e19\n1\n2\n")
         code, out, _ = run_cli(capsys, "exact", str(path), "--target", "5", "--relation", "ge")
         assert code == 0
         doc = json.loads(out)
-        assert (doc["method"], doc["total"]) == ("enumerate", "4")
+        assert (doc["method"], doc["total"]) == ("dp", "4")
+        # float sums of 1e19 with 1, 2 or 3 all round to 1e19; the DP's do not
+        code, out, _ = run_cli(capsys, "exact", str(path), "--target", "1e19", "--relation", "eq")
+        assert code == 0 and json.loads(out)["total"] == "1"
 
     def test_dp_engine_rejects_tolerance(self, capsys, vals4):
         code, out, err = run_cli(
@@ -153,6 +156,15 @@ class TestApproxCommand:
         assert code == 1
         assert out == ""
         assert message in err
+
+    def test_eq_on_integers_past_2_62_has_a_lattice(self, capsys, tmp_path):
+        # the differences 2^62 - 1 fit int64, so the default granularity is their gcd
+        path = tmp_path / "big.txt"
+        path.write_text("4611686018427387904\n1\n1\n")
+        code, out, _ = run_cli(
+            capsys, "approx", str(path), "--target", "4611686018427387904", "--relation", "eq"
+        )
+        assert code == 0 and json.loads(out)["granularity"] > 0
 
 
 class TestEvaluateCommand:

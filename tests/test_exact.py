@@ -307,11 +307,11 @@ class TestDpCounts:
         assert dp_counts(values, 4.5, "le").counts == brute_counts(values, 4.5, "le")
         assert dp_counts(values, 4.5, "eq").total == 0
 
-    def test_integers_up_to_2_62(self):
+    def test_integers_past_int64(self):
         # the positive sum 1.2e19 wrapped in int64; 1e19 wrapped in the cast
         assert dp_counts([4e18] * 3, 5, "ge").counts == {1: 3, 2: 3, 3: 1}
-        with pytest.raises(ValueError, match="integers of magnitude < 2"):
-            dp_counts([1e19, 1, 2], 5, "ge")
+        assert dp_counts([1e19, 1, 2], 5, "ge").counts == {1: 1, 2: 2, 3: 1}
+        assert dp_counts([2.0**62, 1, 1], 2.0**62, "eq").counts == {1: 1, 2: 0, 3: 0}
 
     def test_table_budget(self):
         with pytest.raises(InfeasibleError, match="cells"):

@@ -12,6 +12,7 @@ import pytest
 
 from perfectsum import (
     ApproxConfig,
+    InfeasibleError,
     approximate_perfect_sum,
     auto_granularity,
     binomial,
@@ -535,10 +536,12 @@ class TestAutoGranularity:
     def test_real_sets_disable(self):
         assert auto_granularity([1.5, 2.0]) == 0.0
 
-    def test_integers_from_2_62_are_real_valued(self):
+    def test_differences_past_int64(self):
         # 6e18 - (-4e18) wrapped in int64, which gave 524288
-        assert auto_granularity([-4e18, 4e18, 6e18]) == 0.0
+        assert auto_granularity([-4e18, 4e18, 6e18]) == 2e18
         assert auto_granularity([-4e18, 4e18]) == 8e18
+        assert auto_granularity([2.0**62, 1, 1]) == float(2**62 - 1)
+        assert auto_granularity([1e19, 1, 2]) == 1.0
 
     def test_empty_set(self):
         assert auto_granularity([]) == 0.0
@@ -598,11 +601,17 @@ class TestExactPerfectSum:
         assert report.ks.tolist() == [2, 3, 4]
         assert report.probabilities.tolist() == pytest.approx([4 / 6, 4 / 4, 1.0])
 
-    def test_values_past_2_62_go_through_enumeration(self):
+    def test_values_past_int64_go_through_the_dp(self):
         # the auto engine cast them to int64 for the dp, which wrapped: total 0
-        report = exact_perfect_sum([1e19, 2e19, 3e19, 4e19], 5e19, "eq")
-        assert report.meta["method"] == "enumerate"
-        assert report.total == 2
+        values = [1e19, 2e19, 3e19, 4e19]
+        assert exact_perfect_sum(values, 5e19, "eq", engine="enumerate").total == 2
+        with pytest.raises(InfeasibleError, match="cells"):
+            exact_perfect_sum(values, 5e19, "eq")
+        # the float sums 2^62 + 1 and 2^62 + 2 round to 2^62; the DP's do not
+        report = exact_perfect_sum([2.0**62, 1, 1], 2.0**62, "eq")
+        assert report.meta["method"] == "dp"
+        assert report.total == 1
+        assert exact_perfect_sum([1e19, 1, 2], 1e19, "eq").total == 1
 
     def test_real_values_go_through_enumeration(self):
         report = exact_perfect_sum([1.5, 2.5, 3.0], 4.0, "ge")
