@@ -1,11 +1,14 @@
 """Which approximating family fits? Judge with Jensen-Shannon divergence.
 
 When the set is an i.i.d. sample of a known continuous law, summing that
-law (chi-square here) can beat the normal; but on small sets the normal
-adapts to sample deviations that a fixed theoretical family cannot. The
-divergence table makes the trade-off concrete, reproducing the
-qualitative pattern of skewed-data experiments: the theoretical family
-needs a large n to pay off.
+law (chi-square here) can beat the normal, but only at small subset
+sizes k, where the normal is weakest. The family models draws with
+replacement and has no finite-population correction, and it cannot
+follow the sample's own deviations from the law, so as k grows the
+normal overtakes it. A larger n pushes the crossover out: below, the
+family wins only at k = 3 on n = 200 and up to k = 25 on n = 5000.
+Near k = n/2 it loses by two to four orders of magnitude at both sizes
+(ROADMAP item 9 has that table).
 """
 
 from perfectsum import SetSpec, divergence_experiment, generate_set

@@ -79,6 +79,18 @@ def _check_sizes(k) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _check_variance(family: str, k, per_draw: float) -> None:
+    """Raise ValueError unless the variance ``per_draw`` times the largest size is finite.
+
+    Past the float range a family's moments are no longer its law's (the
+    chi-square cdf runs on infinite degrees of freedom); an empty array
+    of sizes has no stratum to check.
+    """
+    top = int(np.max(k, initial=0))
+    if top:
+        _check_number(f"the {family} variance at k = {top}", top * per_draw, low=0)
+
+
 @dataclass(frozen=True)
 class IrwinHallSum:
     """Sum of k i.i.d. uniforms on [low, high] (rescaled Irwin-Hall).
@@ -96,6 +108,9 @@ class IrwinHallSum:
         _check_sizes(self.k)
         if not self.low < self.high:
             raise ValueError(f"need low < high, got [{self.low}, {self.high}]")
+        # a product past the float range is inf, where a power raises OverflowError
+        spread = self.high - self.low
+        _check_variance("Irwin-Hall", self.k, spread * spread / 12.0)
 
     @property
     def mean(self):
@@ -144,6 +159,7 @@ class ChiSquareSum:
         _check_sizes(self.k)
         if not self.df > 0:
             raise ValueError(f"df must be > 0, got {self.df}")
+        _check_variance("chi-square", self.k, 2.0 * self.df)
 
     @property
     def dof(self):

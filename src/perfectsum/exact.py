@@ -155,7 +155,8 @@ def enumerate_counts(
     elif relation == "ge":
         start, stop = (lambda y: y >= target, target, "left"), None
     else:
-        start, stop = None, (lambda y: y > target, target, "right")
+        # not `y > target`: a NaN sum stops the run, so it passes no relation
+        start, stop = None, (lambda y: ~(y <= target), target, "right")
 
     half = n // 2
     sums_a, sizes_a = _doubling_sums(arr[:half])
@@ -166,8 +167,8 @@ def enumerate_counts(
     weight = np.concatenate([mult for _, mult in classes])
     offsets = np.cumsum([0] + [sums.size for sums, _ in classes[:-1]])
     # a half sum can overflow to +-inf, and fl(s + b) is NaN for opposite
-    # infinities, which no boundary search allows; those s test every b, and
-    # the search sees 0 in their place
+    # infinities, which no boundary search allows; those s test both
+    # predicates on every b, and the search sees 0 in their place
     finite = np.isfinite(sa)
     direct = np.flatnonzero(~finite).tolist()
     searched = np.where(finite, sa, 0.0)
@@ -180,18 +181,14 @@ def enumerate_counts(
         hi = before[_first_passing(searched, sb, stop)] if stop else before[-1]
         passing = hi - lo
         for i in direct:
-            passing[i] = mult[_relation_holds(sa[i] + sb, target, relation, tolerance)].sum()
+            y = sa[i] + sb
+            held = start[0](y) if start else np.ones(sb.size, dtype=bool)
+            if stop:
+                held &= ~stop[0](y)
+            passing[i] = mult[held].sum()
         counts[j : j + half + 1] += np.add.reduceat(weight * passing, offsets)
 
     return CountBySize({k: int(counts[k]) for k in range(1, n + 1)})
-
-
-def _relation_holds(sums, target: float, relation: str, tolerance: float) -> np.ndarray:
-    if relation == "eq":
-        return np.abs(sums - target) <= tolerance
-    if relation == "ge":
-        return sums >= target
-    return sums <= target
 
 
 def _first_passing(sa: np.ndarray, sb: np.ndarray, test) -> np.ndarray:

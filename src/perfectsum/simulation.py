@@ -17,15 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .evaluation import DiscretePmf, discretize, js_divergence
-from .exact import (
-    DEFAULT_ENUMERATION_CAP,
-    InfeasibleError,
-    binomial,
-    exact_sum_pmf,
-)
+from .exact import binomial, exact_sum_pmf
 from .inputs import read_input
 from .kde import sample_subset_sums
-from .moments import _check_number, _integral, set_statistics
+from .moments import _check_k, _check_number, _integral, set_statistics
 from .pipeline import (
     _MODEL_FIELDS,
     ApproxConfig,
@@ -107,7 +102,8 @@ def generate_set(spec: SetSpec) -> np.ndarray:
 
     ``discrete_uniform`` yields integers on [low, high] inclusive (as
     float64, like every other family). ``custom_file`` reads the file at
-    ``path`` with ``inputs.read_input`` (text, CSV or JSON).
+    ``path`` with ``inputs.read_input`` (text, CSV or JSON); a file that
+    does not hold exactly ``n`` values raises ValueError.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.family == "discrete_uniform":
@@ -116,7 +112,10 @@ def generate_set(spec: SetSpec) -> np.ndarray:
         return rng.uniform(spec.low, spec.high, spec.n)
     if spec.family == "chi_square":
         return rng.chisquare(spec.df, spec.n)
-    return read_input(spec.path)
+    values = read_input(spec.path)
+    if values.size != spec.n:
+        raise ValueError(f"{spec.path} holds {values.size} values; its set spec says n = {spec.n}")
+    return values
 
 
 _ROW_KEYS = ("n", "k", "method", "metric", "value", "seed")
@@ -181,16 +180,13 @@ def error_experiment(
     For each (n, seed) a set is generated from ``family``, the target is
     half its total sum (rounded for integer sets), and
     ``|approx - exact| / max(exact, 1)`` is recorded. Per-n mean and
-    standard deviation rows accompany the points. Fails up front if any
-    n exceeds the exact-oracle cap, ``exact.DEFAULT_ENUMERATION_CAP``.
+    standard deviation rows accompany the points. The ground truth is
+    ``exact_perfect_sum``'s: the DP for integer families, at any n whose
+    table fits its cell budget, and enumeration for real ones, up to
+    ``exact.DEFAULT_ENUMERATION_CAP``. Past either limit it raises
+    ``InfeasibleError``.
     """
     n_values = list(n_values)
-    cap = DEFAULT_ENUMERATION_CAP
-    for n in n_values:
-        if n > cap:
-            raise InfeasibleError(
-                f"error experiment needs exact ground truth; n={n} exceeds the cap of {cap}"
-            )
     rows = []
     for n in n_values:
         errors = []
@@ -222,7 +218,6 @@ def error_experiment(
         "seeds": list(seeds),
         "config": _config_echo(config),
         "target_rule": "half_total_sum",
-        "cap": cap,
     }
     return ExperimentResult(rows=rows, metadata=metadata)
 
@@ -305,19 +300,20 @@ def divergence_experiment(
     ``samples``, ``seed``), e.g. ``{"method": "chi_square", "df": 3}``;
     the experiment ``seed`` is the default of each method's ``seed``. Any
     other key, or a family without its parameters, raises ValueError
-    before any reference is built, as do ``bins`` or ``ref_samples`` that
-    are not integers >= 1 (a bool is no integer here) and a granularity
-    that is negative or not finite.
+    before any reference is built, as do sizes in ``k_values``, ``bins``
+    or ``ref_samples`` that are not integers >= 1 (a bool is no integer
+    here), a size above n, and a granularity that is negative or not
+    finite.
     """
+    for k in k_values:
+        _check_number("k", k, numbers.Integral, low=1)
     _check_number("bins", bins, numbers.Integral, low=1)
     _check_number("ref_samples", ref_samples, numbers.Integral, low=1)
     _check_number("granularity", granularity, optional=True, low=0)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     stats = set_statistics(arr)
     n = stats.n
-    bad = [k for k in k_values if not 1 <= k <= n]
-    if bad:
-        raise ValueError(f"infeasible subset sizes for n={n}: {bad}")
+    _check_k(k_values, n)
 
     specs = [_method_spec(m) for m in methods]
     configs = [_config_from(spec, ("method", *_MODEL_FIELDS), seed=seed) for spec in specs]

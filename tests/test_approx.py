@@ -92,6 +92,13 @@ class TestIrwinHall:
         with pytest.raises(ValueError):
             IrwinHallSum(2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("k", [5, np.arange(1, 6)])
+    def test_variance_past_the_float_range(self, k):
+        # the square of the spread overflowed in the variance property
+        with pytest.raises(ValueError, match="Irwin-Hall variance at k = 5 must be >= 0 and finite"):
+            IrwinHallSum(k, 0.0, 1e155)
+        assert np.all(np.isfinite(IrwinHallSum(k, 0.0, 1e150).variance))
+
 
 class TestChiSquareSum:
     def test_exponential_special_case(self):
@@ -114,6 +121,13 @@ class TestChiSquareSum:
     def test_bad_df(self):
         with pytest.raises(ValueError):
             ChiSquareSum(2, 0.0)
+
+    @pytest.mark.parametrize("k", [5, np.arange(1, 6)])
+    def test_variance_past_the_float_range(self, k):
+        # k * df overflowed to infinite degrees of freedom, whose cdf read 0 everywhere
+        with pytest.raises(ValueError, match="chi-square variance at k = 5 must be >= 0 and finite"):
+            ChiSquareSum(k, 1e308)
+        assert np.all(np.isfinite(ChiSquareSum(k, 1e307).variance))
 
 
 class TestBerryEsseen:

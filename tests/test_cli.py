@@ -157,6 +157,21 @@ class TestApproxCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("model, family", [
+        (["--method", "irwin-hall", "--low", "0", "--high", "1e155"], "Irwin-Hall"),
+        (["--method", "chi-square", "--df", "1e308"], "chi-square"),
+    ])
+    def test_family_variance_past_the_float_range(self, capsys, tmp_path, model, family):
+        # irwin-hall exited 3 on an OverflowError; chi-square reported 31 of the 22 subsets
+        path = tmp_path / "five.txt"
+        path.write_text("1\n2\n3\n4\n5\n")
+        code, out, err = run_cli(
+            capsys, "approx", str(path), "--target", "6", "--relation", "ge", *model
+        )
+        assert code == 1
+        assert out == ""
+        assert f"input error: the {family} variance at k = 4 must be >= 0 and finite" in err
+
     def test_eq_on_integers_past_2_62_has_a_lattice(self, capsys, tmp_path):
         # the differences 2^62 - 1 fit int64, so the default granularity is their gcd
         path = tmp_path / "big.txt"

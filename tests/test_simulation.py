@@ -65,6 +65,18 @@ class TestGenerateSet:
         with pytest.raises(InputError, match="cannot read"):
             generate_set(SetSpec(family="custom_file", n=3, path=str(tmp_path / "absent.txt")))
 
+    def test_custom_file_must_hold_n_values(self, tmp_path):
+        # rows labelled n = 3 and n = 20 were both computed on the file's 8 values
+        path = tmp_path / "vals.txt"
+        path.write_text("".join(f"{v}\n" for v in range(1, 9)))
+        family = SetSpec(family="custom_file", n=1, path=str(path))
+        for n in (3, 20):
+            with pytest.raises(ValueError, match=f"holds 8 values; its set spec says n = {n}"):
+                generate_set(replace(family, n=n))
+            with pytest.raises(ValueError, match="holds 8 values"):
+                error_experiment(family, [8, n], ApproxConfig(relation="ge"), seeds=[0])
+        assert generate_set(replace(family, n=8)).tolist() == list(range(1, 9))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             SetSpec(family="zipf", n=5)
@@ -100,8 +112,21 @@ class TestErrorExperiment:
         assert result.rows == []
 
     def test_infeasible_n_fails_before_work(self):
+        # a real family's ground truth is enumerated, and the enumerator names its cap
+        uniform = SetSpec(family="uniform", n=1, low=0.0, high=1.0)
         with pytest.raises(InfeasibleError, match="cap"):
-            error_experiment(self.FAMILY, [10, 40], ApproxConfig(), seeds=[0])
+            error_experiment(uniform, [40], ApproxConfig(relation="ge"), seeds=[0])
+
+    def test_integer_family_past_the_enumeration_cap(self):
+        # the DP referees integer families at any n whose table fits its budget
+        result = error_experiment(self.FAMILY, [40], ApproxConfig(relation="ge"), seeds=[0])
+        values = generate_set(replace(self.FAMILY, n=40, seed=0))
+        target = float(round(0.5 * values.sum()))
+        exact = exact_perfect_sum(values, target, "ge")
+        assert exact.meta["method"] == "dp"
+        approx = approximate_perfect_sum(values, target, ApproxConfig(relation="ge")).total
+        (value,) = result.values(metric="abs_rel_error")
+        assert value == abs(approx - exact.total) / max(exact.total, 1)
 
     def test_rows_and_aggregates(self):
         config = ApproxConfig(relation="ge")
@@ -123,6 +148,7 @@ class TestErrorExperiment:
         assert result.metadata["family"]["family"] == "discrete_uniform"
         assert result.metadata["target_rule"] == "half_total_sum"
         assert result.metadata["config"]["method"] == "normal"
+        assert "cap" not in result.metadata
 
 
 class TestDivergenceExperiment:
@@ -134,8 +160,13 @@ class TestDivergenceExperiment:
         assert jsd4 < jsd1
 
     def test_infeasible_k_listed(self):
-        with pytest.raises(ValueError, match=r"\[9\]"):
+        with pytest.raises(ValueError, match=r"subset size k=9 out of range 1\.\.3"):
             divergence_experiment([1, 2, 3], [1, 9], ["normal"])
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", 0])
+    def test_subset_sizes_must_be_integers(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+            divergence_experiment([1, 2, 3], [1, k], ["normal"])
 
     def test_method_dicts(self):
         values = generate_set(SetSpec(family="chi_square", n=100, seed=2, df=3))
