@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from .exact import _check_query
+from .exact import _check_query, _sum_interval
 from .moments import (
     SetStatistics,
     _check_k,
@@ -258,28 +258,34 @@ def berry_esseen_terms(values, k) -> BerryEsseenTerms:
     return BerryEsseenTerms(*terms)
 
 
-def _relation_mask(sums: np.ndarray, target: float, relation: str, g: float) -> np.ndarray:
-    """Which exact sums satisfy the relation; ``eq`` counts the window (T - g/2, T + g/2]."""
-    if relation == "eq":
-        if g > 0:
-            return (sums > target - g / 2) & (sums <= target + g / 2)
-        return sums == target
-    if relation == "ge":
-        return sums >= target
-    return sums <= target
+def _holds(sums, a, b, g: float):
+    """Which exact sums lie in the event the model reads for the sums in [a, b].
+
+    The event is (a - g/2, b + g/2], and [a, b] itself at g = 0.
+    """
+    if g > 0:
+        return (sums > a - g / 2) & (sums <= b + g / 2)
+    return (sums >= a) & (sums <= b)
 
 
-def probability_query(dist, target: float, relation: str, granularity: float = 0.0):
+def probability_query(dist, target: float, relation: str, granularity: float = 0.0, offset=None):
     """P(sum {=, >=, <=} target) under an approximating distribution.
 
-    ``granularity`` is the value spacing of the underlying discrete data
-    (e.g. 1 for integer sets) and widens the query to the window
-    ``(target - g/2, target + g/2]`` as a continuity correction. It is
-    required for ``eq`` on continuous distributions (an exact continuous
-    sum has probability 0). A zero ``variance`` means an atom, a point
-    mass at ``mean``, counted by the rule exact strata use: ``ge`` and
-    ``le`` compare it to the target, ``eq`` asks whether it lies in the
-    window (or equals the target when g = 0).
+    ``exact._sum_interval`` maps the query to the closed interval [a, b]
+    of sums that satisfy it, and the model reads F(b + g/2) - F(a - g/2),
+    g being ``granularity``, the value spacing of the underlying discrete
+    data (e.g. 1 for integer sets); an infinite end reads 1 - F(a - g/2)
+    or F(b + g/2). ``offset`` (a float, or an array with one entry per
+    stratum) puts the sums on the lattice ``offset + g * Z``: ``ge``
+    starts at the least lattice point >= target, ``le`` ends at the
+    greatest one <= target, and ``eq`` means sum = target, so a target
+    off the lattice has probability 0. Without it the ends are the target
+    itself: ``eq`` is the window (target - g/2, target + g/2] of width g
+    centred on the target. ``eq`` on a continuous distribution needs
+    g > 0 (an exact continuous sum has probability 0). A zero
+    ``variance`` means an atom, a point mass at ``mean``, counted by the
+    rule exact strata use: 1 when it lies in (a - g/2, b + g/2], or in
+    [a, b] at g = 0.
     Works for any object with a ``cdf``; one without ``variance`` (a
     kernel density model) is continuous. Returns a float for scalar
     parameters and an array, one entry per stratum, for array ones. A NaN
@@ -291,6 +297,7 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
 
     atom = np.asarray(getattr(dist, "variance", 1.0)) <= 0.0
     g = granularity
+    a, b = _sum_interval(target, relation, g, offset)
     prob = 0.0
     if not atom.all():
         if relation == "eq" and g == 0.0:
@@ -298,13 +305,12 @@ def probability_query(dist, target: float, relation: str, granularity: float = 0
                 "eq query on a continuous distribution needs granularity > 0; "
                 "an exact continuous sum has probability 0"
             )
-        if relation == "eq":
-            prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
-        elif relation == "ge":
-            prob = 1.0 - dist.cdf(target - g / 2)
-        else:
-            prob = dist.cdf(target + g / 2)
+        # F is 1 and 0 at the infinite ends; no name keeps a cdf array alive
+        # past the subtraction, so np.clip reuses its memory
+        prob = 1.0 if np.all(b == math.inf) else dist.cdf(b + g / 2)
+        if not np.all(a == -math.inf):
+            prob = prob - dist.cdf(a - g / 2)
     if atom.any():
-        prob = np.where(atom, _relation_mask(dist.mean, target, relation, g), prob)
+        prob = np.where(atom, _holds(dist.mean, a, b, g), prob)
     prob = np.clip(prob, 0.0, 1.0)
     return float(prob) if np.ndim(prob) == 0 else prob

@@ -5,7 +5,10 @@ approximation), ``evaluate`` (per-k divergence tables), and
 ``simulate`` (config-driven experiments writing CSV/JSON files).
 
 stdout carries only the report; messages go to stderr. Exit codes:
-0 success, 1 input error, 2 infeasible instance, 3 internal error.
+0 success, 1 input error, 2 infeasible instance, 3 internal error. A
+reader that closes stdout early (``| head``) ends the run quietly with
+exit 0: stdout then points at the null device, so nothing more is
+written and nothing is printed.
 Counts are serialized as decimal strings so arbitrary precision
 survives JSON consumers; the schemas are documented in docs/schemas/.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -288,6 +292,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the interpreter flushes stdout on exit, which would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InfeasibleError as err:
         print(f"perfectsum: infeasible: {err}", file=sys.stderr)
         return 2

@@ -93,6 +93,38 @@ def _check_query(target: float, relation: str) -> None:
         raise ValueError(f"target must be a number, got {target}")
 
 
+def _sum_interval(target: float, relation: str, g: float = 0.0, offset=None, tolerance=0.0):
+    """The closed interval [a, b] of sums that satisfy ``relation`` against ``target``.
+
+    With an ``offset`` and g > 0 the sums lie on the lattice
+    ``offset + g * Z``: ``ge`` starts at the least lattice point >= target,
+    ``le`` ends at the greatest one <= target, and ``eq`` is [target,
+    target] when the target is a lattice point, else empty (a = b + g).
+    ``offset`` is a float or an array, one entry per stratum, and so are
+    the finite ends. Otherwise ``ge`` is [target, +inf), ``le`` is (-inf,
+    target] and ``eq`` is [target - tolerance, target + tolerance].
+    """
+    a = b = target
+    if offset is not None and g > 0:
+        a = offset + g * np.ceil((target - offset) / g)
+        b = offset + g * np.floor((target - offset) / g)
+    if relation == "ge":
+        return a, math.inf
+    if relation == "le":
+        return -math.inf, b
+    return a - tolerance, b + tolerance
+
+
+def _lattice_offset(x: float, k, g: float):
+    """The offset in [0, g) of the lattice that holds the size-k sums of a set on x + g * Z.
+
+    It is k * r mod g with r = x mod g, for an int k or an array of sizes;
+    r = 0 gives the scalar 0.0 whatever ``k`` is, with no pass over the sizes.
+    """
+    r = x % g
+    return 0.0 if r == 0 else (k * r) % g
+
+
 def _doubling_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums and sizes of all 2^m subsets of ``values``, built incrementally."""
     m = len(values)
@@ -146,17 +178,20 @@ def enumerate_counts(
     if n > _INT64_SAFE_N:
         raise InfeasibleError(f"enumeration not supported beyond n = {_INT64_SAFE_N}")
 
-    # each relation's passing b run from the first b where `start` holds
-    # to the first where `stop` holds; None is the class's end. A search
-    # for the guess rounded T - s finds each boundary within a few values.
-    if relation == "eq":
-        start = (lambda y: y - target >= -tolerance, target - tolerance, "left")
-        stop = (lambda y: y - target > tolerance, target + tolerance, "right")
-    elif relation == "ge":
-        start, stop = (lambda y: y >= target, target, "left"), None
-    else:
-        # not `y > target`: a NaN sum stops the run, so it passes no relation
-        start, stop = None, (lambda y: ~(y <= target), target, "right")
+    # a sum y passes when low <= fl(y - T) <= high, [low, high] being the
+    # relation's interval at target 0. The passing b of a class run from the
+    # first where `start` holds to the first where `stop` holds (None at an
+    # infinite end), and a search for the guess rounded T - s finds each
+    # boundary within a few values. fl(y - T) is NaN where y ties an
+    # infinite target: the tie satisfies y >= T and y <= T, not |y - T| <= tol
+    low, high = _sum_interval(0.0, relation, tolerance=tolerance)
+    tie = math.isinf(target) and (math.isinf(low) or math.isinf(high))
+    start = stop = None
+    if low > -math.inf:
+        start = (lambda y: (y - target >= low) | (tie & (y == target)), target + low, "left")
+    if high < math.inf:
+        # not `y - target > high`: a NaN sum stops the run, so it passes no relation
+        stop = (lambda y: ~((y - target <= high) | (tie & (y == target))), target + high, "right")
 
     half = n // 2
     sums_a, sizes_a = _doubling_sums(arr[:half])
@@ -179,7 +214,8 @@ def enumerate_counts(
         before = np.concatenate(([0], np.cumsum(mult)))  # b's below each distinct sum
         lo = before[_first_passing(searched, sb, start)] if start else 0
         hi = before[_first_passing(searched, sb, stop)] if stop else before[-1]
-        passing = hi - lo
+        # eq's stop comes first only where a sum ties an infinite target
+        passing = np.maximum(hi - lo, 0)
         for i in direct:
             y = sa[i] + sb
             held = start[0](y) if start else np.ones(sb.size, dtype=bool)
@@ -195,8 +231,8 @@ def _first_passing(sa: np.ndarray, sb: np.ndarray, test) -> np.ndarray:
     """For each sum s of ``sa``, the first index i of the sorted ``sb`` where pred(fl(s + sb[i])).
 
     ``test`` is (pred, x, side): ``pred`` must be False then True along
-    ``sb`` for every s, which any comparison of fl(s + b) with a constant
-    is, rounding being monotone, as long as no fl(s + b) is NaN. The
+    ``sb`` for every s, which any comparison of fl(fl(s + b) - T) with a
+    constant is, rounding being monotone, as long as no fl(s + b) is NaN. The
     search starts where ``x - s`` would go on ``side`` and steps one
     distinct value at a time towards the boundary, testing the predicate
     itself, so rounding in ``x - s`` costs steps, never a miscount.
@@ -256,17 +292,17 @@ def dp_counts(
     """Exact subset counts per size k via dynamic programming on (k, partial sum).
 
     Requires an integer-valued set, of any magnitude: values, sums and
-    counts are Python ints. Every relation is read off one table
-    of counts per (k, sum) at an integer bound b: ``eq`` reads column
-    b = target, ``le`` sums the prefix up to b = floor(target), and
-    ``ge`` is the complement C(n, k) minus the ``le`` count at
-    b = ceil(target) - 1. The table keeps sums from the smallest possible
-    one up to max(b, 0) and, within that, only each row's band of
-    reachable sums (see ``_sum_table``). A k-subset with sum s leaves an
-    (n - k)-subset with sum total - s, so the same counts can be read at
-    row n - k of the table for the mirrored bound; the narrower of the
-    two tables is built. On a nonnegative set its width is
-    O(min(target, total - target)).
+    counts are Python ints. The relation is the interval [a, b] of
+    integer sums that ``_sum_interval`` gives on Z, and every count is
+    read off one table of counts per (k, sum): a row's sums in [a, b],
+    or, when b is the largest sum, the row's C(n, k) less its sums below
+    a. The table keeps sums from the smallest possible one up to the
+    largest it reads (at least 0) and, within that, only each row's band
+    of reachable sums (see ``_sum_table``). A k-subset with sum s leaves
+    an (n - k)-subset with sum total - s, so the same counts can be read
+    at row n - k of the table for the mirrored interval
+    [total - b, total - a]; the narrower of the two tables is built. On a
+    nonnegative set its width is O(min(target, total - target)).
 
     Raises
     ------
@@ -281,42 +317,35 @@ def dp_counts(
     ints, lo, hi = _int_values(arr)
     n = len(ints)
 
-    # clamping keeps an infinite target out of the integer bound and changes no count
-    target = min(max(target, lo - 1), hi + 1)
-    # rows[j] counts the j-subsets with sum <= bound (cumulative) or == bound
-    cumulative = relation != "eq"
-    if relation == "eq":
-        if target != int(target):
-            return CountBySize(dict.fromkeys(range(1, n + 1), 0))
-        bound = int(target)
-    elif relation == "le":
-        bound = math.floor(target)
-    else:
-        bound = math.ceil(target) - 1
-    # sums == b mirror to sums == total - b; sums <= b mirror to sums >= total - b,
-    # the complement of sums <= total - b - 1
-    mirrored = lo + hi - bound - int(cumulative)
-    flip = min(hi, max(mirrored, 0)) < min(hi, max(bound, 0))
-    if flip:
-        bound = mirrored
+    # the sums in [a, b] on Z; every sum lies in [lo, hi], so clamping the
+    # ends there keeps infinities out of the integers and changes no count
+    a, b = (float(end) for end in _sum_interval(target, relation, 1.0, 0.0))
+    a, b = int(min(max(a, lo), hi + 1)), int(max(min(b, hi), lo - 1))
+    if a > b:
+        return CountBySize(dict.fromkeys(range(1, n + 1), 0))
 
-    if bound < lo or (bound > hi and not cumulative):
+    def top(a, b):
+        # the largest sum the table holds to count [a, b]: [a, hi] is read as
+        # every subset but those with sums below a
+        return min(hi, max(a - 1 if b == hi else b, 0))
+
+    # a k-subset with sum s leaves an (n - k)-subset with sum lo + hi - s
+    flip = top(lo + hi - b, lo + hi - a) < top(a, b)
+    if flip:
+        a, b = lo + hi - b, lo + hi - a
+    complement = b == hi
+    if complement:
+        a, b = lo, a - 1
+    if a > b:
         rows = [0] * (n + 1)
-    elif bound >= hi and cumulative:
-        rows = [math.comb(n, j) for j in range(n + 1)]
     else:
-        dp = _sum_table(ints, lo, min(hi, max(bound, 0)), max_cells)
-        col = bound - lo
-        rows = (dp[:, : col + 1].sum(axis=1) if cumulative else dp[:, col]).tolist()
+        dp = _sum_table(ints, lo, top(a, b), max_cells)
+        rows = dp[:, a - lo : b - lo + 1].sum(axis=1).tolist()
+    if complement:
+        rows = [math.comb(n, j) - r for j, r in enumerate(rows)]
     if flip:
         rows.reverse()
-
-    # ge complements its le count, and a mirrored cumulative read complements once more
-    if (relation == "ge") != (flip and cumulative):
-        per_k = {k: math.comb(n, k) - rows[k] for k in range(1, n + 1)}
-    else:
-        per_k = {k: rows[k] for k in range(1, n + 1)}
-    return CountBySize(per_k)
+    return CountBySize({k: rows[k] for k in range(1, n + 1)})
 
 
 def _check_cells(rows: int, width: int, max_cells: int) -> None:

@@ -25,12 +25,12 @@ from .approx import (
     ChiSquareSum,
     IrwinHallSum,
     NormalSum,
-    _relation_mask,
+    _holds,
     berry_esseen_terms,
     normal_sum_approx,
     probability_query,
 )
-from .exact import binomial
+from .exact import _lattice_offset, _sum_interval, binomial
 from .kde import (
     DEFAULT_KDE_SAMPLES,
     KdeModel,
@@ -73,9 +73,14 @@ _EXACT = decimal.Context(
 class ApproxConfig:
     """Configuration of the approximation.
 
-    ``granularity=None`` means auto: the gcd of pairwise differences for
-    integer-valued sets (their sum lattice spacing), 0 for real-valued
-    sets. ``exact_small_k`` switches strata k <= that bound to exact
+    ``granularity=None`` means auto: the gcd g of pairwise differences
+    for integer-valued sets, 0 for real-valued sets. Under it the size-k
+    sums of an integer set lie on the lattice k * x0 + g * Z (x0 any of
+    its values), each stratum's relation is read there, and ``eq`` means
+    sum = target. An explicit granularity g is a window of width g
+    centred on the target: ``eq`` counts (target - g/2, target + g/2],
+    ``ge`` and ``le`` count from target - g/2 and up to target + g/2, in
+    the exact strata as in the model. ``exact_small_k`` switches strata k <= that bound to exact
     enumeration when C(n, k) stays within the stratum budget; the normal
     family is weakest at small k, where few large strata dominate.
     Irwin-Hall needs ``low`` and ``high``, chi-square ``df``, KDE at least
@@ -306,10 +311,10 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     per-k counts. A parametric family models all strata with one
     distribution over the array of sizes and answers them with one
     ``probability_query``. k = n, for every method, is the one subset
-    holding the whole set: its sum is compared to the target exactly, as
-    an atom. The report's rows are the strata of positive probability,
-    the only ones whose count can be nonzero; ``counts_by_k`` covers every
-    k of the window.
+    holding the whole set: its sum is an atom, counted exactly in the
+    event the model reads (see ``probability_query``). The report's rows
+    are the strata of positive probability, the only ones whose count can
+    be nonzero; ``counts_by_k`` covers every k of the window.
 
     The KDE method draws its samples once for all strata:
     ``kde.shared_subset_sums`` reads every stratum's m sums off the
@@ -332,6 +337,16 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     if config.exact_small_k > k_max:
         raise ValueError("exact_small_k must be <= k_max")
     g = auto_granularity(arr) if config.granularity is None else float(config.granularity)
+    lattice = config.granularity is None and g > 0
+
+    def offset(k):
+        # under the auto granularity the size-k sums of an integer set lie on
+        # offset + g * Z; an explicit granularity keeps the window on the target
+        return _lattice_offset(float(arr[0]), k, g) if lattice else None
+
+    def holds(sums, k):
+        # which exact size-k sums lie in the event the model reads
+        return _holds(sums, *_sum_interval(target, config.relation, g, offset(k)), g)
 
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
 
@@ -342,7 +357,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
         for i, sums in enumerate(samples):
             dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
-            probs[i] = probability_query(dist, target, config.relation, g)
+            probs[i] = probability_query(dist, target, config.relation, g, offset(k_min + i))
     else:
         # one query for every modelled stratum (none when k_min = n); the
         # sizes are float64 once here rather than in each step of the
@@ -350,12 +365,16 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         # so the copy does not raise the query's peak memory
         sizes = np.arange(k_min, last + 1, dtype=np.float64)
         head = probability_query(
-            _build_distribution(arr, stats, sizes, config), target, config.relation, g
+            _build_distribution(arr, stats, sizes, config),
+            target,
+            config.relation,
+            g,
+            offset(sizes),
         )
         probs = np.empty(ks.size, dtype=np.float64)
         probs[: sizes.size] = head
     if k_max == n:
-        probs[-1] = _relation_mask(arr.sum(), target, config.relation, g)
+        probs[-1] = holds(arr.sum(), n)
 
     # hybrid mode: small strata take the exact share of their subsets. With
     # C = C(n, k) <= EXACT_STRATUM_BUDGET = 10^6, fl(count / C) * C is within
@@ -366,7 +385,7 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         if c > EXACT_STRATUM_BUDGET:
             continue
         sums = exact_mod._sums_of_size(arr, k)
-        probs[k - k_min] = int(_relation_mask(sums, target, config.relation, g).sum()) / c
+        probs[k - k_min] = int(np.count_nonzero(holds(sums, k))) / c
         exact_ks.add(k)
 
     # the report keeps the strata of positive probability (an exact share is

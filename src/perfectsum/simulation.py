@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .evaluation import DiscretePmf, discretize, js_divergence
-from .exact import binomial, exact_sum_pmf
+from .exact import _lattice_offset, binomial, exact_sum_pmf
 from .inputs import read_input
 from .kde import sample_subset_sums
 from .moments import _check_k, _check_number, _integral, set_statistics
@@ -294,8 +294,8 @@ def divergence_experiment(
     ``granularity=None`` resolves per set: the sum-lattice gcd for
     integer-valued sets, else each k's reference range divided into
     ``bins`` windows. The size-k sums of an integer-valued set lie on
-    k * min(values) + g * Z, so both grids anchor at fmod(k * min, g),
-    other sets' at 0. Methods are names or dicts of a ``method`` and the
+    k * min(values) + g * Z, so both grids anchor at that lattice's offset
+    in [0, g), other sets' at 0. Methods are names or dicts of a ``method`` and the
     model's ``ApproxConfig`` fields (``low``, ``high``, ``df``,
     ``samples``, ``seed``), e.g. ``{"method": "chi_square", "df": 3}``;
     the experiment ``seed`` is the default of each method's ``seed``. Any
@@ -329,7 +329,7 @@ def divergence_experiment(
             g = base_g
         else:
             g = max((float(points.max()) - float(points.min())) / bins, 1e-12)
-        anchor = 0.0 if lattice_base is None else math.fmod(k * lattice_base, g)
+        anchor = 0.0 if lattice_base is None else _lattice_offset(lattice_base, k, g)
         ref = _bin_pmf(points, weights, g, anchor)
         grans[str(k)] = g
         ref_kinds[str(k)] = kind

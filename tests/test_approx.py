@@ -190,6 +190,26 @@ class TestProbabilityQuery:
             assert probability_query(dist, 9.0, "ge", g) == 1.0
             assert probability_query(dist, 11.0, "le", g) == 1.0
 
+    def test_lattice_offset_snaps_each_stratum(self):
+        # the strata lie on 2Z and on 1 + 2Z: ge at 10 starts at 10 and at 11,
+        # le ends at 10 and at 9, and 10 is no sum of the second stratum
+        dists = NormalSum(np.array([10.0, 10.0]), np.array([4.0, 4.0]))
+        offset = np.array([0.0, 1.0])
+
+        def alone(target, relation):
+            return probability_query(NormalSum(10.0, 4.0), target, relation, 2.0)
+
+        ge = probability_query(dists, 10.0, "ge", 2.0, offset)
+        le = probability_query(dists, 10.0, "le", 2.0, offset)
+        eq = probability_query(dists, 10.0, "eq", 2.0, offset)
+        assert ge.tolist() == [alone(10.0, "ge"), alone(11.0, "ge")]
+        assert le.tolist() == [alone(10.0, "le"), alone(9.0, "le")]
+        assert eq.tolist() == [alone(10.0, "eq"), 0.0]
+        # a point mass counts the same lattice points
+        atoms = NormalSum(np.array([9.0, 11.0]), np.array([0.0, 0.0]))
+        assert probability_query(atoms, 10.0, "ge", 2.0, offset).tolist() == [0.0, 1.0]
+        assert probability_query(atoms, 10.0, "eq", 2.0, offset).tolist() == [0.0, 0.0]
+
     def test_far_below_target_ge_is_total_mass(self):
         for dist in (
             NormalSum(5.0, 5 / 3),

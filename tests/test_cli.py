@@ -1,6 +1,9 @@
 """CLI surface tests: formats, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +488,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "input error" in err
+
+    def test_closed_stdout_is_no_error(self, tmp_path):
+        # the report holds about 1.2 MB of counts, so the writer fills the pipe
+        # and meets its closed end; this exited 3 with "internal error:
+        # [Errno 32] Broken pipe"
+        values = np.random.default_rng(0).integers(0, 21, 3000)
+        path = tmp_path / "mid.txt"
+        path.write_text("".join(f"{v}\n" for v in values.tolist()))
+        argv = [sys.executable, "-m", "perfectsum", "approx", str(path),
+                "--target", str(int(values.sum()) // 2), "--relation", "ge"]
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.Popen(argv, cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert len(head) == 100
+        assert (proc.wait(timeout=120), err) == (0, b"")
 
     def test_internal_key_error_is_exit_3(self, capsys, vals4, monkeypatch):
         def broken(*args):

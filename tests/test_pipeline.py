@@ -468,6 +468,63 @@ class TestApproximatePerfectSum:
             approximate_perfect_sum([], 1.0, ApproxConfig())
 
 
+class TestSumLattice:
+    """Each stratum k of an integer set is read on its lattice k * x0 + g * Z (normal, n = 200)."""
+
+    INTS = np.random.default_rng(0).integers(0, 21, 200)
+    ODD = 2 * np.random.default_rng(0).integers(0, 11, 200) + 1
+
+    @staticmethod
+    def total_error(values, target, relation):
+        truth = dp_counts(values, target, relation).total
+        got = approximate_perfect_sum(values, target, ApproxConfig(relation=relation)).total
+        return abs(got - truth) / truth
+
+    @pytest.mark.parametrize("relation", ["ge", "le"])
+    def test_target_off_the_lattice(self, relation):
+        # ge counted from 1199.8, not from 1201, and was off by 1.56e-2
+        assert self.total_error(self.INTS, 1200.3, relation) < 1e-4
+
+    @pytest.mark.parametrize("target", [1200.3, 1000.3])
+    def test_eq_off_the_lattice_counts_nothing(self, target):
+        # the window (T - 1/2, T + 1/2] holds a lattice point: 2.4e57 at 1200.3
+        assert dp_counts(self.INTS, target, "eq").total == 0
+        report = approximate_perfect_sum(self.INTS, target, ApproxConfig(relation="eq"))
+        assert report.total == 0 and report.ks.size == 0
+
+    @pytest.mark.parametrize("relation", ["eq", "ge", "le"])
+    @pytest.mark.parametrize("target", [1200, 1201])
+    def test_odd_values_put_odd_strata_off_the_even_lattice(self, relation, target):
+        # a k-subset of odd values has the parity of k; eq counted twice the truth
+        assert self.total_error(self.ODD, target, relation) < 1e-4
+
+    @pytest.mark.parametrize("relation", ["eq", "ge", "le"])
+    @pytest.mark.parametrize("target", [24, 24.5])
+    def test_exact_strata_count_their_lattice(self, relation, target):
+        # every stratum of 12 values is exact; 24 is off the odd strata's lattice
+        values = [1, 3, 5, 7, 9, 11, 3, 5, 1, 7, 9, 13]
+        config = ApproxConfig(relation=relation, exact_small_k=len(values))
+        report = approximate_perfect_sum(values, target, config)
+        assert report.counts_by_k() == dp_counts(values, target, relation).counts
+
+    @pytest.mark.parametrize("target", [4, 8])
+    def test_odd_strata_of_an_even_target_count_nothing(self, target):
+        # the k-sums of {1, 3, 5} lie on k + 2Z, so an even target is a sum of
+        # two values alone; the window (T - 1, T + 1] gave k = 1 a count at 4
+        # and the k = 3 atom (sum 9) one at 8
+        report = approximate_perfect_sum([1, 3, 5], target, ApproxConfig(relation="eq"))
+        assert report.ks.tolist() == [2]
+
+    @pytest.mark.parametrize("relation, shifted", [("ge", 9.7), ("le", 10.7)])
+    def test_explicit_granularity_counts_the_centred_window(self, relation, shifted):
+        # an explicit granularity reads (T - g/2, +inf) and (-inf, T + g/2], in
+        # the exact strata and the k = n atom as in the model
+        values = [1, 2, 3, 4, 5, 6]
+        config = ApproxConfig(relation=relation, granularity=1, exact_small_k=6)
+        report = approximate_perfect_sum(values, 10.2, config)
+        assert report.counts_by_k() == dp_counts(values, shifted, relation).counts
+
+
 class TestCountMaterialisation:
     @pytest.mark.parametrize("kind", ["integer", "gaussian"])
     def test_counts_match_per_stratum_formula(self, kind):

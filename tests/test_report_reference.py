@@ -50,21 +50,28 @@ def reference_normal(stats, k):
     return ReferenceNormal(mean=mean, variance=var)
 
 
-def reference_query(dist, target, relation, g):
+def reference_query(dist, target, relation, g, offset=None):
+    # the sums that satisfy the relation are [a, b]: on the lattice
+    # offset + g * Z under the auto granularity, else ends at the target
+    a = b = target
+    if offset is not None and g > 0:
+        a = offset + g * np.ceil((target - offset) / g)
+        b = offset + g * np.floor((target - offset) / g)
     atom = np.asarray(getattr(dist, "variance", 1.0)) <= 0.0
     prob = 0.0
     if not atom.all():
         with np.errstate(divide="ignore", invalid="ignore"):
             if relation == "eq":
-                prob = dist.cdf(target + g / 2) - dist.cdf(target - g / 2)
+                prob = dist.cdf(b + g / 2) - dist.cdf(a - g / 2)
             elif relation == "ge":
-                prob = 1.0 - dist.cdf(target - g / 2)
+                prob = 1.0 - dist.cdf(a - g / 2)
             else:
-                prob = dist.cdf(target + g / 2)
+                prob = dist.cdf(b + g / 2)
     if atom.any():
         mean = dist.mean
-        exact = {"ge": mean >= target, "le": mean <= target,
-                 "eq": (mean > target - g / 2) & (mean <= target + g / 2)}[relation]
+        low = mean > a - g / 2 if g > 0 else mean >= a
+        high = mean <= b + g / 2
+        exact = {"ge": low, "le": high, "eq": low & high}[relation]
         prob = np.where(atom, exact, prob)
     prob = np.clip(prob, 0.0, 1.0)
     return float(prob) if np.ndim(prob) == 0 else prob
@@ -115,7 +122,8 @@ CASES = {
     "normal_le_tail": (TAIL_INTS, _lower_tail, ["--relation", "le", "--method", "normal"]),
     "normal_eq_g1": (TAIL_INTS, _upper_tail,
                      ["--relation", "eq", "--method", "normal", "--granularity", "1"]),
-    "even_with_late_odd": (_even_with_late_odd, _upper_tail,
+    # eq off the lattice counts nothing, so this case's target is a lattice point
+    "even_with_late_odd": (_even_with_late_odd, lambda values: round(_upper_tail(values)),
                            ["--relation", "eq", "--method", "normal"]),
     "normal_reals": (lambda: np.random.default_rng(17).normal(3, 2, 5000), _share(0.55),
                      ["--relation", "ge", "--method", "normal"]),
