@@ -63,8 +63,9 @@ class NormalSum:
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         # a zero sd sends x = mean to NaN and the rest to -inf or +inf; the
-        # step is written over the zero-variance entries alone
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # step is written over the zero-variance entries alone. A z past the
+        # float range is the infinity at which ndtr is exactly 0 or 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = ndtr((x - self.mean) / self.sd)
         point = np.asarray(self.variance) <= 0.0
         if point.any():
@@ -187,6 +188,59 @@ def normal_sum_approx(stats: SetStatistics, k) -> NormalSum:
     """
     mean = subset_sum_mean(stats, k)  # checks k for both moments
     return NormalSum(mean=mean, variance=_subset_sum_variance(stats, k))
+
+
+# scipy's ndtr is exactly 0.0 below z = -37.7 and exactly 1.0 above z = 8.3
+# (pinned by a test); past |z| = _SATURATED_Z a normal cdf is one of the two
+_SATURATED_Z = 40.0
+
+
+def _unsaturated_sizes(stats: SetStatistics, target: float, relation: str, g: float):
+    """The sizes [start, stop) outside which the normal model saturates, or None.
+
+    ``probability_query`` reads stratum k's normal model at the finite ends
+    x of ``exact._sum_interval`` (a - g/2 and b + g/2; a stratum lattice
+    moves them by less than g), at z = (x - k m) / s_k with s_k^2 = v k (n -
+    k) / (n - 1), m and v the set's mean and variance. With Z =
+    ``_SATURATED_Z``, |z| <= Z is the quadratic (m^2 + c) k^2 - (2 x m + c
+    n) k + x^2 <= 0, c = Z^2 v / (n - 1), whose leading coefficient is
+    positive: it holds on one interval of k. Outside the hull of those
+    intervals over the range of x, and of the zeros k = x / m of x - k m,
+    x - k m keeps one sign and |z| > Z on each side, so every stratum 1 <= k
+    < n below ``start`` reads the same probability, exactly 0.0 or 1.0, and
+    so does every one from ``stop`` on. The roots come from the stable
+    formula, rounded outwards and padded. Returns None, for the all-strata
+    query, on an infinite end, a variance whose c is zero or subnormal, or
+    coefficients past the float range; ``start`` and ``stop`` lie in [0, n].
+    """
+    n, m, v = stats.n, stats.mean, stats.variance
+    a, b = _sum_interval(target, relation)
+    ends = [x for x in (a - g / 2, b + g / 2) if abs(x) < math.inf]
+    if not ends:
+        return None
+    lo, hi = min(ends) - g, max(ends) + g
+    c = _SATURATED_Z**2 * v / (n - 1)
+    if not c >= np.finfo(np.float64).tiny:
+        return None
+    if m == 0.0 and lo <= 0.0 <= hi:
+        return None  # x - k m vanishes at every k
+    points = [lo / m, hi / m] if m else []
+    quad = m * m + c
+    for x in (lo, hi):
+        lin, const = 2 * x * m + c * n, x * x
+        disc = lin * lin - 4 * quad * const
+        if not math.isfinite(disc):
+            return None
+        # a discriminant rounded below 0 keeps the vertex
+        q = (lin + math.copysign(math.sqrt(max(disc, 0.0)), lin)) / 2
+        points += [q / quad, const / q if q else 0.0]
+    # beyond the roots, by 2 + n * 2^-22 strata, |x - k m| exceeds Z s_k by
+    # more than the rounding of the roots (about sqrt(u) n near a double
+    # root, u = 2^-53) and of x - k m (about u n |m|) can take back
+    pad = 2 + n * 2.0**-22
+    start = int(np.clip(np.floor(min(points) - pad), 0, n))
+    stop = int(np.clip(np.ceil(max(points) + pad) + 1, start, n))
+    return start, stop
 
 
 @dataclass(frozen=True)

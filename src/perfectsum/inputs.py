@@ -62,10 +62,15 @@ def _parse_json(text: str, path) -> np.ndarray:
         doc = doc.get("values")
     if not isinstance(doc, list):
         raise InputError(f"{path}: JSON input must be an array or an object with 'values'")
-    try:
-        values = [float(x) for x in doc]
-    except (TypeError, ValueError) as err:
-        raise InputError(f"{path}: non-numeric JSON value: {err}") from err
+    values = []
+    for i, x in enumerate(doc, start=1):
+        # a JSON true is no number, and neither is a string of digits
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise InputError(f"{path}: value at position {i} is not a JSON number: {x!r}")
+        try:
+            values.append(float(x))
+        except OverflowError:
+            raise InputError(f"{path}: value at position {i} is past the float range") from None
     return _finite(values, str(path))
 
 

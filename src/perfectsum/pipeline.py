@@ -26,6 +26,7 @@ from .approx import (
     IrwinHallSum,
     NormalSum,
     _holds,
+    _unsaturated_sizes,
     berry_esseen_terms,
     normal_sum_approx,
     probability_query,
@@ -305,12 +306,16 @@ def per_k_seed(master_seed: int, k: int) -> int:
 def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> ApproxReport:
     """Approximate, for every subset size, how many subsets satisfy the sum relation.
 
-    Runs one distribution evaluation per k. The per-k count is
+    Runs at most one distribution evaluation per k. The per-k count is
     round-half-even of probability * C(n, k), computed exactly from the
     float probability; the total is the exact big-integer sum of the
-    per-k counts. A parametric family models all strata with one
-    distribution over the array of sizes and answers them with one
-    ``probability_query``. k = n, for every method, is the one subset
+    per-k counts. A parametric family models its strata with one
+    distribution over an array of sizes and answers them with one
+    ``probability_query``. The normal family's array holds only the sizes
+    that ``approx._unsaturated_sizes`` cannot rule out, plus one size for
+    each run of strata around them whose cdf is exactly 0.0 or 1.0; the
+    run takes that size's probability, the one a query over every size
+    gives each of its strata. k = n, for every method, is the one subset
     holding the whole set: its sum is an atom, counted exactly in the
     event the model reads (see ``probability_query``). The report's rows
     are the strata of positive probability, the only ones whose count can
@@ -359,11 +364,25 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
             dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
             probs[i] = probability_query(dist, target, config.relation, g, offset(k_min + i))
     else:
-        # one query for every modelled stratum (none when k_min = n); the
-        # sizes are float64 once here rather than in each step of the
-        # moment formulas. probs is allocated after the model is dropped,
-        # so the copy does not raise the query's peak memory
-        sizes = np.arange(k_min, last + 1, dtype=np.float64)
+        # one query for the modelled strata (none when k_min = n). The normal
+        # family queries the sizes [start, stop) it may not saturate and one
+        # representative of each saturated run around them, whose exact 0.0
+        # or 1.0 the run repeats. The sizes are float64 once here rather than
+        # in each step of the moment formulas. probs is allocated after the
+        # model is dropped, so the copy does not raise the query's peak memory
+        start, stop = k_min, last + 1
+        if config.method == "normal" and last >= k_min:
+            window = _unsaturated_sizes(stats, target, config.relation, g)
+            if window is not None:
+                start, stop = (min(max(k, k_min), last + 1) for k in window)
+        below, above = start - k_min, last + 1 - stop
+        # each queried size and the number of strata that read its probability
+        sizes = np.arange(start - (below > 0), stop + (above > 0), dtype=np.float64)
+        repeats = np.ones(sizes.size, dtype=np.int64)
+        if below:
+            sizes[0], repeats[0] = k_min, below
+        if above:
+            sizes[-1], repeats[-1] = last, above
         head = probability_query(
             _build_distribution(arr, stats, sizes, config),
             target,
@@ -371,8 +390,10 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
             g,
             offset(sizes),
         )
+        if below or above:
+            head = np.repeat(head, repeats)
         probs = np.empty(ks.size, dtype=np.float64)
-        probs[: sizes.size] = head
+        probs[: last + 1 - k_min] = head
     if k_max == n:
         probs[-1] = holds(arr.sum(), n)
 

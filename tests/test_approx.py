@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from perfectsum import (
     ChiSquareSum,
@@ -18,6 +19,7 @@ from perfectsum import (
     subset_sum_mean,
     subset_sum_variance,
 )
+from perfectsum.approx import _SATURATED_Z
 
 from conftest import mc_cdf, normal_mass_quad
 
@@ -42,6 +44,20 @@ class TestNormalSumApprox:
         assert normal_sum_approx(stats, 1).variance == 0.0
         dists = normal_sum_approx(stats, np.array([1.0, 2.0, 3.0]))
         assert dists.variance.tolist() == [0.0, 0.0, 0.0]
+
+    def test_ndtr_saturates_past_the_window_bound(self):
+        # the normal query reads a stratum with |z| > _SATURATED_Z as exactly
+        # 0.0 or 1.0 without evaluating it; a scipy whose ndtr stops rounding
+        # there would change the report's bits
+        z = np.concatenate(
+            (
+                np.linspace(0.99 * _SATURATED_Z, 1e3, 1_000_001),
+                np.geomspace(1e3, 1e308, 10_001),
+                [math.inf],
+            )
+        )
+        assert np.all(ndtr(-z) == 0.0)
+        assert np.all(ndtr(z) == 1.0)
 
     def test_mass_against_quadrature(self):
         dist = normal_sum_approx(set_statistics([1, 2, 3, 4]), 2)

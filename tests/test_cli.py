@@ -52,6 +52,17 @@ class TestExactCommand:
         assert code == 1
         assert "line 3" in err
 
+    def test_oversize_json_integer_is_input_error(self, capsys, tmp_path):
+        # as the same literal in a CSV file: exit 1, not an internal error
+        for name, text in (("big.json", "[1, {}]"), ("big.csv", "1\n{}\n")):
+            path = tmp_path / name
+            path.write_text(text.format("9" * 400))
+            code, out, err = run_cli(
+                capsys, "approx", str(path), "--target", "1", "--relation", "ge"
+            )
+            assert code == 1 and out == "", name
+            assert "position 2" in err, name
+
     def test_infeasible_size_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("".join(f"{x}.5\n" for x in range(30)))

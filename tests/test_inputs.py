@@ -92,6 +92,23 @@ def test_json_object_extra_keys_ignored(tmp_path):
     assert values.tolist() == [1.0, 2.5]
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[1, true, 3]", "position 2 is not a JSON number: True"),
+        ('[1, 2, "4"]', "position 3 is not a JSON number: '4'"),
+        ('{"values": [null]}', "position 1 is not a JSON number: None"),
+        ("[[1], 2]", r"position 1 is not a JSON number: \[1\]"),
+        ("[1, " + "9" * 400 + "]", "position 2 is past the float range"),
+    ],
+)
+def test_json_value_that_is_no_float_names_its_position(doc, message, tmp_path):
+    path = tmp_path / "vals.json"
+    path.write_text(doc)
+    with pytest.raises(InputError, match=message):
+        read_input(path)
+
+
 def test_json_non_finite_value_names_its_position(tmp_path):
     path = tmp_path / "vals.json"
     path.write_text("[1, NaN, 3]")

@@ -3,12 +3,14 @@
 import decimal
 import json
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perfectsum import (
     ApproxConfig,
@@ -19,9 +21,12 @@ from perfectsum import (
     dp_counts,
     enumerate_counts,
     exact_perfect_sum,
+    normal_sum_approx,
+    probability_query,
     set_statistics,
 )
 from perfectsum import pipeline
+from perfectsum.exact import _lattice_offset
 from perfectsum.moments import _CHUNK
 from perfectsum.pipeline import (
     _EXACT,
@@ -837,3 +842,101 @@ class TestReportSerialization:
             approximate_perfect_sum(
                 [2.0, 2.0, 2.0], 4, ApproxConfig(relation="ge", diagnostics=True)
             )
+
+
+# the kinds of set the window must keep bit-identical: integers whose sums
+# lie on the lattice 0 + gZ or on an offset one, a mean of exactly 0, reals
+# (g = 0), sets whose spread is far below the rounding of their sums, and
+# values whose window coefficients pass the float range
+_WINDOW_SETS = {
+    "even": lambda rng, n: 2.0 * rng.integers(-6, 11, n),
+    "odd": lambda rng, n: 2.0 * rng.integers(-6, 11, n) + 1,
+    "integers": lambda rng, n: rng.integers(-20, 21, n).astype(np.float64),
+    "negative": lambda rng, n: rng.integers(-20, 3, n).astype(np.float64),
+    "zero_mean": lambda rng, n: np.concatenate(
+        (half := rng.integers(-20, 21, n // 2), -half, [0.0] * (n % 2))
+    ),
+    "reals": lambda rng, n: rng.normal(rng.normal(0.0, 5.0), rng.uniform(0.01, 5.0), n),
+    "near_constant": lambda rng, n: 1e15 + rng.integers(0, 2, n).astype(np.float64),
+    "near_constant_reals": lambda rng, n: 3.0 + 1e-12 * rng.random(n),
+    "huge": lambda rng, n: rng.uniform(1e149, 1e151, n),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_WINDOW_SETS)),
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    relation=st.sampled_from(["ge", "le", "eq"]),
+    granularity=st.sampled_from([None, None, 0.5, 1.0, 3.0]),
+    where=st.one_of(
+        st.floats(-0.3, 1.3),
+        st.sampled_from([-math.inf, math.inf, -1e308, 1e308]),
+    ),
+    window=st.tuples(st.floats(0, 1), st.floats(0, 1)) | st.none(),
+    integral=st.booleans(),
+    exact_small_k=st.integers(0, 2),
+)
+def test_normal_strata_match_the_all_sizes_query_bit_for_bit(
+    kind, n, seed, relation, granularity, where, window, integral, exact_small_k
+):
+    """The normal report's probabilities are the positive entries of one query over every size."""
+    arr = _WINDOW_SETS[kind](np.random.default_rng(seed), n)
+    # a target between the smallest and the largest sum, or a far one
+    low, high = float(np.minimum(arr, 0).sum()), float(np.maximum(arr, 0).sum())
+    target = low + where * (high - low) if -2 < where < 2 else where
+    if integral and -2 < where < 2:
+        target = float(round(target))  # on some strata's lattice, for eq
+    k_min, k_max = None, None
+    if window is not None:
+        k_min, k_max = sorted(1 + int(u * (n - 1)) for u in window)
+    exact_small_k = min(exact_small_k, k_max or n)
+    config = ApproxConfig(
+        relation=relation,
+        granularity=granularity,
+        k_min=k_min,
+        k_max=k_max,
+        exact_small_k=exact_small_k,
+    )
+
+    stats = set_statistics(arr)
+    g = auto_granularity(arr) if granularity is None else granularity
+    sizes = np.arange(k_min or 1, min(k_max or n, n - 1) + 1, dtype=np.float64)
+    offset = _lattice_offset(float(arr[0]), sizes, g) if granularity is None and g > 0 else None
+    try:
+        want = probability_query(normal_sum_approx(stats, sizes), target, relation, g, offset)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            approximate_perfect_sum(arr, target, config)
+        return
+    want = np.broadcast_to(want, sizes.shape)
+    report = approximate_perfect_sum(arr, target, config)
+
+    exact_ks = set(range(1, exact_small_k + 1))
+    got = [
+        (k, p.hex())
+        for k, p, m in zip(report.ks.tolist(), report.probabilities.tolist(), report.methods)
+        if k < n and m == "normal"
+    ]
+    assert got == [
+        (k, p.hex())
+        for k, p in zip(sizes.astype(int).tolist(), want.tolist())
+        if p > 0 and k not in exact_ks
+    ]
+
+
+def test_normal_query_reads_only_its_unsaturated_strata(monkeypatch):
+    # a tail target on 2e5 values saturates all but a few hundred strata; a
+    # silent return to the all-strata query would read every one of them
+    values = np.random.default_rng(3).integers(0, 21, 200_000)
+    total = int(values.sum())
+    sizes = []
+
+    def query(dist, *args):
+        sizes.append(np.size(dist.mean))
+        return probability_query(dist, *args)
+
+    monkeypatch.setattr(pipeline, "probability_query", query)
+    report = approximate_perfect_sum(values, total - 5 * total / values.size, ApproxConfig())
+    assert report.total > 0 and len(sizes) == 1 and sizes[0] < 1000

@@ -4,7 +4,8 @@ Each case writes a seeded value set and runs the CLI in process. It then
 builds the same report again with the pipeline's granularity, normal
 model, probability query and emit replaced by the straightforward forms
 kept below: the gcd of every difference, the one-line moment formulas,
-an out-of-place query with ``np.where`` for atoms, and a walk over every
+an out-of-place query with ``np.where`` for atoms over every size, not
+only the ones the normal model may not saturate, and a walk over every
 count for the rows to emit. The two outputs must be equal byte for byte.
 Both runs use the same numpy and scipy, so the check holds on any of
 their releases; a faster layer that moves one bit of a report fails it.
@@ -157,6 +158,7 @@ def test_report_equals_reference_layers(name, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "auto_granularity", reference_granularity)
     monkeypatch.setattr(pipeline, "normal_sum_approx", reference_normal)
     monkeypatch.setattr(pipeline, "probability_query", reference_query)
+    monkeypatch.setattr(pipeline, "_unsaturated_sizes", lambda *args: None)
     monkeypatch.setattr(pipeline.ApproxReport, "to_json_dict",
                         lambda report: reports.append(report) or reference_doc(report))
     expected = io.StringIO()
