@@ -353,36 +353,31 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
         # which exact size-k sums lie in the event the model reads
         return _holds(sums, *_sum_interval(target, config.relation, g, offset(k)), g)
 
-    ks = np.arange(k_min, k_max + 1, dtype=np.int64)
-
-    # the models cover k_min..last; k = n, if asked for, is set below
+    # the models cover k_min..last, reading the strata [start, stop) one by
+    # one. The normal family narrows that window to the sizes it may not
+    # saturate; each run of strata around it, whose cdf is exactly 0.0 or
+    # 1.0, is read at one size whose value the run repeats
     last = min(k_max, n - 1)
+    start, stop = k_min, last + 1
+    if config.method == "normal" and last >= k_min:
+        unsaturated = _unsaturated_sizes(stats, target, config.relation, g)
+        if unsaturated is not None:
+            start, stop = (min(max(k, k_min), last + 1) for k in unsaturated)
+    below, above = start - k_min, last + 1 - stop
     if config.method == "kde":
-        probs = np.empty(ks.size, dtype=np.float64)
+        head = np.empty(stop - start, dtype=np.float64)
         samples = shared_subset_sums(arr, k_min, last, config.samples, config.seed)
         for i, sums in enumerate(samples):
             dist = KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
-            probs[i] = probability_query(dist, target, config.relation, g, offset(k_min + i))
+            head[i] = probability_query(dist, target, config.relation, g, offset(k_min + i))
     else:
-        # one query for the modelled strata (none when k_min = n). The normal
-        # family queries the sizes [start, stop) it may not saturate and one
-        # representative of each saturated run around them, whose exact 0.0
-        # or 1.0 the run repeats. The sizes are float64 once here rather than
-        # in each step of the moment formulas. probs is allocated after the
-        # model is dropped, so the copy does not raise the query's peak memory
-        start, stop = k_min, last + 1
-        if config.method == "normal" and last >= k_min:
-            window = _unsaturated_sizes(stats, target, config.relation, g)
-            if window is not None:
-                start, stop = (min(max(k, k_min), last + 1) for k in window)
-        below, above = start - k_min, last + 1 - stop
-        # each queried size and the number of strata that read its probability
+        # one query for the modelled strata; the sizes are float64 once here
+        # rather than in each step of the moment formulas
         sizes = np.arange(start - (below > 0), stop + (above > 0), dtype=np.float64)
-        repeats = np.ones(sizes.size, dtype=np.int64)
         if below:
-            sizes[0], repeats[0] = k_min, below
+            sizes[0] = k_min
         if above:
-            sizes[-1], repeats[-1] = last, above
+            sizes[-1] = last
         head = probability_query(
             _build_distribution(arr, stats, sizes, config),
             target,
@@ -390,32 +385,46 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
             g,
             offset(sizes),
         )
-        if below or above:
-            head = np.repeat(head, repeats)
-        probs = np.empty(ks.size, dtype=np.float64)
-        probs[: last + 1 - k_min] = head
-    if k_max == n:
-        probs[-1] = holds(arr.sum(), n)
+        # a query whose ends are both infinite answers every size with one float
+        head = np.broadcast_to(head, sizes.shape)
+    window = head[int(below > 0) : head.size - int(above > 0)]
+
+    # the report keeps the strata of positive probability, the only ones whose
+    # count can be nonzero, and only they cost Python work: the run below the
+    # window, the window's positive strata, the run above it and k = n, each
+    # a range of sizes with their probabilities
+    rows = [(np.arange(k_min, start), head[0])] if below and head[0] > 0.0 else []
+    idx = np.flatnonzero(window > 0.0)
+    rows.append((start + idx, window[idx]))
+    if above and head[-1] > 0.0:
+        rows.append((np.arange(stop, last + 1), head[-1]))
+    if k_max == n and holds(arr.sum(), n):
+        rows.append(([n], 1.0))
+    ks = np.concatenate([k for k, _ in rows]).astype(np.int64, copy=False)
+    probs = np.concatenate([np.broadcast_to(p, len(k)) for k, p in rows])
 
     # hybrid mode: small strata take the exact share of their subsets. With
     # C = C(n, k) <= EXACT_STRATUM_BUDGET = 10^6, fl(count / C) * C is within
     # 10^6 * 2^-53 < 0.5 of the count, so the count loop rounds it back exactly
-    exact_ks = set()
+    exact = {}
     for k in range(k_min, config.exact_small_k + 1):
         c = binomial(n, k)
-        if c > EXACT_STRATUM_BUDGET:
-            continue
-        sums = exact_mod._sums_of_size(arr, k)
-        probs[k - k_min] = int(np.count_nonzero(holds(sums, k))) / c
-        exact_ks.add(k)
+        if c <= EXACT_STRATUM_BUDGET:
+            exact[k] = int(np.count_nonzero(holds(exact_mod._sums_of_size(arr, k), k))) / c
+    if exact:
+        # an exact share replaces its stratum's model row; one of 0 has no row
+        model = ~np.isin(ks, list(exact))
+        shares = [(k, p) for k, p in exact.items() if p > 0.0]
+        ks = np.concatenate([ks[model], [k for k, _ in shares]]).astype(np.int64)
+        probs = np.concatenate([probs[model], [p for _, p in shares]])
+        order = np.argsort(ks)
+        ks, probs = ks[order], probs[order]
+    kept = ks.tolist()
+    counts = list(_counts(n, kept, probs.tolist(), int))
 
-    # the report keeps the strata of positive probability (an exact share is
-    # at least 1 / C > 0), and only they cost Python work
-    idx = np.flatnonzero(probs > 0.0)
-    kept = ks[idx].tolist()
-    counts = list(_counts(n, kept, probs[idx].tolist(), int))
-
-    diagnostics = berry_esseen_terms(arr, ks) if config.diagnostics else None
+    diagnostics = None
+    if config.diagnostics:
+        diagnostics = berry_esseen_terms(arr, np.arange(k_min, k_max + 1, dtype=np.int64))
 
     meta = {
         "command": "approx",
@@ -426,10 +435,10 @@ def approximate_perfect_sum(values, target: float, config: ApproxConfig) -> Appr
     if config.method != "kde":
         meta.update(samples=None, seed=None)
     return ApproxReport(
-        ks=ks[idx],
-        probabilities=probs[idx],
+        ks=ks,
+        probabilities=probs,
         counts=counts,
-        methods=["exact" if k in exact_ks else config.method for k in kept],
+        methods=["exact" if k in exact else config.method for k in kept],
         total=sum(counts),
         meta=meta,
         diagnostics=diagnostics,

@@ -1,6 +1,8 @@
 """Input parsing: which parser read_input picks, and what the text parser reads."""
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +129,10 @@ _INTEGER_LINE = st.one_of(
 )
 
 
+# block sizes that cut a text at every line, inside long lines, and not at all
+BLOCK_SIZES = [1, 2, 3, 7, inputs._BLOCK_BYTES]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     lines=st.lists(_INTEGER_LINE, min_size=1, max_size=30).filter(any),
@@ -136,12 +142,15 @@ _INTEGER_LINE = st.one_of(
 def test_integer_text_reads_as_loadtxt_bits(tmp_path_factory, lines, newline, final_newline):
     path = tmp_path_factory.mktemp("ints") / "vals.txt"
     path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("ascii"))
-    assert inputs._integer_lines(path.read_text()) is not None  # the byte tokenizer ran
-    got = read_input(path)
     want = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    assert got.dtype == np.float64 and got.shape == want.shape
-    # equal bits, so -0 stays -0.0
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for block in BLOCK_SIZES:
+        # patched here: hypothesis refuses a function-scoped monkeypatch fixture
+        with mock.patch.object(inputs, "_BLOCK_BYTES", block):
+            assert inputs._integer_lines(path.read_text()) is not None  # the byte tokenizer ran
+            got = read_input(path)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        # equal bits, so -0 stays -0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # text the byte tokenizer leaves to loadtxt, and what read_input makes of it
@@ -183,6 +192,39 @@ def test_bad_line_of_an_integer_file_is_named(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match=r"line 537: not a number: '53x'"):
         read_input(path)
+
+
+def test_bad_line_in_the_last_block_is_named(tmp_path, monkeypatch):
+    monkeypatch.setattr(inputs, "_BLOCK_BYTES", 16)
+    lines = [str(v) for v in range(1000)]
+    lines[-1] = "99-9"  # the last line is in the last block
+    path = tmp_path / "vals.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert inputs._integer_lines(path.read_text()) is None
+    with pytest.raises(InputError, match=r"line 1000: not a number: '99-9'"):
+        read_input(path)
+
+
+def test_one_value_among_blank_lines_in_a_late_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(inputs, "_BLOCK_BYTES", 16)
+    path = tmp_path / "vals.txt"
+    path.write_text("\n" * 700 + "-42" + "\n" * 300)
+    assert inputs._integer_lines(path.read_text()).tolist() == [-42.0]
+    assert read_input(path).tolist() == [-42.0]
+
+
+def test_integer_decoding_works_in_bounded_memory():
+    # a decoder that built whole-file temporaries would peak near 60 MB here
+    values = np.random.default_rng(0).integers(0, 21, 10**6)
+    text = "\n".join(map(str, values.tolist())) + "\n"
+    tracemalloc.start()
+    try:
+        result = inputs._integer_lines(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(result, values)
+    assert peak < result.nbytes + len(text) + 4 * 2**20
 
 
 @pytest.mark.parametrize("contents", ["1 5\n2 7\n3 9\n", "1 5\n"])
