@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from json.encoder import _make_iterencode, encode_basestring_ascii
 from pathlib import Path
 
 from .exact import InfeasibleError, RELATIONS
@@ -166,9 +167,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _quote(s: str) -> str:
+    # a decimal count needs no escaping; bytes.isdigit accepts ASCII digits only
+    if s.isascii() and s.encode().isdigit():
+        return '"' + s + '"'
+    return encode_basestring_ascii(s)
+
+
+def _floatstr(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    """Write ``json.dump(doc, sys.stdout, indent=2, allow_nan=False)`` and a newline.
+
+    The chunks and the writes are json's own: its indent encoder
+    (``json.encoder._make_iterencode``, the same signature on Python
+    3.10-3.13) runs with json.dump's arguments, but strings go through
+    ``_quote``, which skips the escape scan over the report's digit
+    strings (11.6 M digits at n = 10,000). Writing chunk by chunk, never a
+    joined column, keeps the heap shape of json.dump.
+    """
+    chunks = _make_iterencode(
+        {}, json.JSONEncoder().default, _quote, "  ", _floatstr, ": ", ",", False, False, False
+    )
+    write = sys.stdout.write
+    for chunk in chunks(doc, 0):
+        write(chunk)
+    write("\n")
 
 
 def _cmd_exact(args) -> int:

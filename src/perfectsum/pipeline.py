@@ -12,6 +12,7 @@ for the whole run; no stratum is silently left out of the total.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -282,6 +283,13 @@ def _build_distribution(values, stats: SetStatistics, k, config: ApproxConfig):
     return KdeModel(sums=sums, bandwidth=fit_bandwidth(sums))
 
 
+@functools.lru_cache(maxsize=1)
+def _ladder_start(n: int, k: int) -> int:
+    # an approx op runs the ladder twice from the same C(n, k): for the
+    # report's int counts and again for to_json_dict's decimal ones
+    return math.comb(n, k)
+
+
 def _counts(n: int, ks: list, probs: list, kind):
     """Yield round-half-even(p * C(n, k)) for each ascending k and its p, as ``kind``.
 
@@ -290,7 +298,7 @@ def _counts(n: int, ks: list, probs: list, kind):
     ``_EXACT``, where it yields the same integers.
     """
     at = ks[0] if ks else 0
-    c = kind(math.comb(n, at))
+    c = kind(_ladder_start(n, at))
     for k, p in zip(ks, probs):
         for j in range(at, k):
             c = c * (n - j) // (j + 1)

@@ -1,5 +1,7 @@
 """CLI surface tests: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,8 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perfectsum import cli, divergence_experiment, read_input
+from perfectsum import (
+    ApproxConfig,
+    SetSpec,
+    approximate_perfect_sum,
+    cli,
+    divergence_experiment,
+    error_experiment,
+    exact_perfect_sum,
+    read_input,
+)
 from perfectsum.cli import main
 
 
@@ -531,3 +543,131 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
+
+
+def _dumped(doc, stream):
+    json.dump(doc, stream, indent=2, allow_nan=False)
+    stream.write("\n")
+
+
+def _emitted(doc, stream):
+    with contextlib.redirect_stdout(stream):
+        cli._emit(doc)
+
+
+def _outcome(write, doc):
+    """The text ``write`` puts on a stream, and the type and message of what it raises."""
+    stream = io.StringIO()
+    try:
+        write(doc, stream)
+    except (TypeError, ValueError) as err:
+        return stream.getvalue(), type(err), str(err)
+    return stream.getvalue(), None, None
+
+
+class _Chunks(io.StringIO):
+    """A stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+def _mid_report(n):
+    values = np.random.default_rng(1).integers(0, 21, n)
+    target = float(round(int(values.sum()) / 2))
+    return approximate_perfect_sum(values, target, ApproxConfig(relation="ge", method="normal"))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text() | st.from_regex(r"[0-9]+", fullmatch=True),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestEmit:
+    """``cli._emit`` writes what ``json.dump(doc, indent=2, allow_nan=False)`` writes."""
+
+    def test_reports_and_documents(self, tmp_path):
+        values = [1, 2, 3, 4, 5]
+        approx = approximate_perfect_sum(
+            values, 7, ApproxConfig(relation="ge", diagnostics=True)
+        ).to_json_dict()
+        assert "inf" in approx["diagnostics"]["delta1"]
+        evaluate = divergence_experiment(values, [1, 2], ["normal"])
+        simulate = error_experiment(
+            SetSpec(family="discrete_uniform", n=1, low=0, high=20),
+            [8, 10], ApproxConfig(relation="ge"), [0, 1],
+        )
+        docs = [
+            approx,
+            _mid_report(300).to_json_dict(),
+            exact_perfect_sum(values, 7, "ge").to_json_dict(),
+            {"metadata": evaluate.metadata, "rows": evaluate.rows},
+            {"metadata": simulate.metadata, "rows": simulate.rows},
+            {"written": [str(tmp_path / "é" / "div.csv"), str(tmp_path / "é" / "div.json")]},
+        ]
+        for doc in docs:
+            want = _outcome(_dumped, doc)
+            assert want[1:] == (None, None)
+            assert _outcome(_emitted, doc) == want
+
+    def test_strings_keys_and_scalars(self):
+        strings = ["", "٣", "12\n", '"', "é", "\x01", "0", "007", "inf", "nan", "1e5", " 1"]
+        docs = [
+            strings,
+            {s: s for s in strings},
+            {"a": {}, "b": [], "c": [[], {}, [{}]], "d": {"e": {"f": []}}},
+            {},
+            [],
+            (1, ("2", [True, False, None])),
+            {"x": -0.0, "y": 10**30, "z": -(10**30), "w": 1e300, "v": 5e-324},
+            "12",
+            7,
+            None,
+        ]
+        for doc in docs:
+            want = _outcome(_dumped, doc)
+            assert want[1:] == (None, None)
+            assert _outcome(_emitted, doc) == want
+
+    def test_errors_match_json(self):
+        circular = []
+        circular.append(circular)
+        docs = [
+            {"p": [0.5, float("nan")]},
+            {"p": float("inf")},
+            [float("-inf")],
+            {"count": {1, 2}},
+            [object()],
+            {(1, 2): "tuple key"},
+            circular,
+        ]
+        for doc in docs:
+            want = _outcome(_dumped, doc)
+            assert want[1] is not None
+            assert _outcome(_emitted, doc) == want
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value(self, doc):
+        assert _outcome(_emitted, doc) == _outcome(_dumped, doc)
+
+    def test_one_write_per_chunk(self):
+        # a writer that joins a column of counts before writing raises the
+        # approx CLI's peak memory; every count is written as its own chunk
+        doc = _mid_report(6000).to_json_dict()
+        stream = _Chunks()
+        _emitted(doc, stream)
+        assert stream.getvalue() == json.dumps(doc, indent=2) + "\n"
+        counts = doc["per_k"]["count"]
+        assert len(stream.lengths) > len(counts) > 1000
+        longest = max(len(s) for s in [doc["total"], *counts])
+        # ",\n" and the indent of a list inside per_k, then the quoted digits
+        assert max(stream.lengths) <= len(",\n" + " " * 6) + longest + 2
